@@ -47,8 +47,8 @@ std::vector<std::vector<float>> make_updates(int n, int dim) {
   return updates;
 }
 
-// 10×10 input, 3×3 kernel, stride 1, pad 1 → 10×10 output; im2col GEMM is
-// [cout, cin·k·k] × [cin·k·k, ho·wo] per sample.
+// 10×10 input, 3×3 kernel, stride 1, pad 1 → 10×10 output; the implicit
+// GEMM is [cout, cin·k·k] × [cin·k·k, ho·wo] per sample.
 double conv_gemm_flops(int batch, int channels) {
   return 2.0 * batch * channels * (16.0 * 3 * 3) * (10.0 * 10);
 }
@@ -59,11 +59,10 @@ bench::MicroRecord conv_forward(common::ThreadPool& pool, int batch, int channel
   auto w = tensor::Tensor::randn({channels, 16, 3, 3}, rng, 0.0f, 0.1f);
   auto b = tensor::Tensor::zeros({channels});
   tensor::Conv2dSpec spec{1, 1};
-  std::vector<float> cache;
   auto rec = bench::time_serial_vs_threaded(
       "conv2d_forward", batch_size(batch, channels), pool,
       [&] {
-        auto y = tensor::conv2d_forward_cached(x, w, b, spec, cache);
+        auto y = tensor::conv2d_forward(x, w, b, spec);
         bench::do_not_optimize(y.data().data());
       });
   rec.kernel = "gemm_packed";
@@ -77,12 +76,11 @@ bench::MicroRecord conv_backward(common::ThreadPool& pool, int batch, int channe
   auto w = tensor::Tensor::randn({channels, 16, 3, 3}, rng, 0.0f, 0.1f);
   auto b = tensor::Tensor::zeros({channels});
   tensor::Conv2dSpec spec{1, 1};
-  std::vector<float> cache;
-  auto y = tensor::conv2d_forward_cached(x, w, b, spec, cache);
+  auto y = tensor::conv2d_forward(x, w, b, spec);
   auto rec = bench::time_serial_vs_threaded(
       "conv2d_backward", batch_size(batch, channels), pool,
       [&] {
-        auto g = tensor::conv2d_backward_cached(x, w, y, spec, cache);
+        auto g = tensor::conv2d_backward(x, w, y, spec);
         bench::do_not_optimize(g.grad_weight.data().data());
       });
   rec.kernel = "gemm_packed";
@@ -186,11 +184,10 @@ bench::MicroRecord conv_relu(common::ThreadPool& pool, int batch, int channels,
   auto w = tensor::Tensor::randn({channels, 16, 3, 3}, rng, 0.0f, 0.1f);
   auto b = tensor::Tensor::zeros({channels});
   tensor::Conv2dSpec spec{1, 1};
-  std::vector<float> cache;
   auto rec = bench::time_serial_vs_threaded(
       "conv2d_relu", batch_size(batch, channels), pool,
       [&] {
-        auto y = tensor::conv2d_forward_cached(x, w, b, spec, cache, nullptr, fused);
+        auto y = tensor::conv2d_forward(x, w, b, spec, nullptr, fused);
         if (!fused) {
           tensor::Tensor out(y.shape());
           const auto& src = y.storage();

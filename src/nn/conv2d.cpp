@@ -31,16 +31,15 @@ Tensor Conv2d::forward_conv(const Tensor& x, bool fuse_relu, tensor::ComputeKern
   input_cache_ = x;
   // Pruned channels are skipped inside the packed GEMM (and written as exact
   // zeros) rather than zeroed in a second pass over the output.
-  return tensor::conv2d_forward_quant(x, weight_, bias_, spec_, col_cache_, kernel,
-                                      fuse_relu, any_pruned_ ? active_.data() : nullptr);
+  return tensor::conv2d_forward_quant(x, weight_, bias_, spec_, kernel, fuse_relu,
+                                      any_pruned_ ? active_.data() : nullptr);
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
   // The channel mask makes the kernel drop pruned channels from every
   // gradient product, so the incoming gradient needs no masking copy.
-  auto grads = tensor::conv2d_backward_cached(input_cache_, weight_, grad_out, spec_,
-                                              col_cache_,
-                                              any_pruned_ ? active_.data() : nullptr);
+  auto grads = tensor::conv2d_backward(input_cache_, weight_, grad_out, spec_,
+                                       any_pruned_ ? active_.data() : nullptr);
   grad_weight_ += grads.grad_weight;
   grad_bias_ += grads.grad_bias;
   return std::move(grads.grad_input);

@@ -54,9 +54,8 @@ class Conv2d : public Layer {
   // True iff any entry of active_ is 0; lets forward/backward skip the
   // per-channel mask scan in the common fully-active case.
   bool any_pruned_ = false;
+  // The last forward's input; backward packs its conv patches from it.
   Tensor input_cache_;
-  // im2col buffer from the last forward, reused by backward.
-  std::vector<float> col_cache_;
 };
 
 }  // namespace fedcleanse::nn

@@ -62,11 +62,39 @@ void pack_a_strip(const float* a, int lda, bool ta, int k0, int kc, const int* k
   }
 }
 
-}  // namespace
+// Where op(B) comes from: a dense row-major matrix, or (when `image` is set)
+// a gather, op(B)[kk][j] = image[depth_off[kk] + col_off[j]]. A conv patch
+// matrix is such a gather over tap and pixel offset tables (see gemm below).
+struct BSource {
+  const float* b = nullptr;
+  int ldb = 0;
+  bool trans = false;
+  const float* image = nullptr;
+  const int* depth_off = nullptr;
+  const int* col_off = nullptr;
+};
 
-void gemm(bool trans_a, bool trans_b, int m, int n, int k, const float* a, int lda,
-          const float* b, int ldb, float* c, int ldc, bool accumulate,
-          const GemmMask& mask, const GemmEpilogue& epi) {
+// Pack one zero-padded kc×nr sliver of op(B), columns [j0, j0+n_sub).
+void pack_b(const BSource& src, int k0, int kc, const int* kidx, int j0, int n_sub,
+            float* bp) {
+  if (src.image == nullptr) {
+    pack_b_sliver(src.b, src.ldb, src.trans, k0, kc, kidx, j0, n_sub, bp);
+    return;
+  }
+  const int* col_off = src.col_off + j0;
+  for (int p = 0; p < kc; ++p) {
+    const float* row = src.image + src.depth_off[kidx != nullptr ? kidx[p] : k0 + p];
+    float* dst = bp + static_cast<std::size_t>(p) * kGemmNR;
+    int j = 0;
+    for (; j < n_sub; ++j) dst[j] = row[col_off[j]];
+    for (; j < kGemmNR; ++j) dst[j] = 0.0f;
+  }
+}
+
+// The blocked driver shared by both B sources.
+void gemm_impl(bool trans_a, int m, int n, int k, const float* a, int lda, const BSource& b,
+               float* c, int ldc, bool accumulate, const GemmMask& mask,
+               const GemmEpilogue& epi) {
   if (m <= 0 || n <= 0) return;
   FC_REQUIRE(epi.row_bias == nullptr || !accumulate,
              "gemm row_bias epilogue requires accumulate == false");
@@ -138,9 +166,8 @@ void gemm(bool trans_a, bool trans_b, int m, int n, int k, const float* a, int l
       const Workspace::Mark bmark = cws.mark();
       float* bp = cws.alloc_floats(static_cast<std::size_t>(n_slivers) * kc * kGemmNR);
       for (int js = 0; js < n_slivers; ++js) {
-        pack_b_sliver(b, ldb, trans_b, pc, kc, kslice, jc + js * kGemmNR,
-                      std::min(kGemmNR, nc - js * kGemmNR),
-                      bp + static_cast<std::size_t>(js) * kc * kGemmNR);
+        pack_b(b, pc, kc, kslice, jc + js * kGemmNR, std::min(kGemmNR, nc - js * kGemmNR),
+               bp + static_cast<std::size_t>(js) * kc * kGemmNR);
       }
 
       // Each MC-row block owns its rows of C exclusively and sweeps k in the
@@ -213,6 +240,44 @@ void gemm(bool trans_a, bool trans_b, int m, int n, int k, const float* a, int l
     }
   }
   cws.release(outer);
+}
+
+}  // namespace
+
+void gemm(bool trans_a, bool trans_b, int m, int n, int k, const float* a, int lda,
+          const float* b, int ldb, float* c, int ldc, bool accumulate,
+          const GemmMask& mask, const GemmEpilogue& epi) {
+  gemm_impl(trans_a, m, n, k, a, lda, BSource{.b = b, .ldb = ldb, .trans = trans_b}, c, ldc,
+            accumulate, mask, epi);
+}
+
+void gemm(bool trans_a, bool trans_b, int m, int n, int k, const float* a, int lda,
+          const ConvPatches& b, float* c, int ldc, bool accumulate, const GemmMask& mask,
+          const GemmEpilogue& epi) {
+  FC_REQUIRE(k == (trans_b ? b.cols() : b.rows()) && n == (trans_b ? b.rows() : b.cols()),
+             "gemm conv-patch operand does not match k/n");
+  FC_REQUIRE((b.ho - 1) * b.stride + b.kh <= b.h && (b.wo - 1) * b.stride + b.kw <= b.w,
+             "gemm conv patches must lie inside the image");
+  // Entry (tap, pixel) of the patch matrix is image[tap_off + pix_off]: the
+  // tap's offset from a patch's top-left plus that corner's offset. Every
+  // patch lies inside the image, so the pack gathers with no bounds test.
+  Workspace& ws = Workspace::tls();
+  const Workspace::Mark mark = ws.mark();
+  int* tap_off = static_cast<int*>(ws.alloc_bytes(sizeof(int) * b.rows()));
+  int* pix_off = static_cast<int*>(ws.alloc_bytes(sizeof(int) * b.cols()));
+  for (int ic = 0, r = 0; ic < b.cin; ++ic) {
+    for (int ky = 0; ky < b.kh; ++ky) {
+      for (int kx = 0; kx < b.kw; ++kx) tap_off[r++] = (ic * b.h + ky) * b.w + kx;
+    }
+  }
+  for (int oy = 0, q = 0; oy < b.ho; ++oy) {
+    for (int ox = 0; ox < b.wo; ++ox) pix_off[q++] = (oy * b.w + ox) * b.stride;
+  }
+  const BSource src{.image = b.image,
+                    .depth_off = trans_b ? pix_off : tap_off,
+                    .col_off = trans_b ? tap_off : pix_off};
+  gemm_impl(trans_a, m, n, k, a, lda, src, c, ldc, accumulate, mask, epi);
+  ws.release(mark);
 }
 
 void gemm_reference(bool trans_a, bool trans_b, int m, int n, int k, const float* a,

@@ -51,7 +51,7 @@ struct GemmMask {
 // operation order matches the unfused pipeline bit for bit:
 //   row_bias — added when the first k block *stores* its tile
 //     (bias + acc == acc + bias, so this equals pre-filling C with the bias
-//     and accumulating into it, which is what conv2d_forward_cached did).
+//     and accumulating into it, which is what conv2d_forward does).
 //     Requires accumulate == false.
 //   col_bias — added after the last k block finishes a column range
 //     (equals nn::Linear's post-GEMM `y[i][j] += bias[j]` sweep; adding at
@@ -78,6 +78,32 @@ struct GemmEpilogue {
 // blocks; see the determinism note above.
 void gemm(bool trans_a, bool trans_b, int m, int n, int k, const float* a, int lda,
           const float* b, int ldb, float* c, int ldc, bool accumulate,
+          const GemmMask& mask = {}, const GemmEpilogue& epi = {});
+
+// Implicit im2col operand: the [cin·kh·kw, ho·wo] patch matrix of one NCHW
+// image, read straight from the image by the B pack and never materialized.
+// Row r = (ic, ky, kx) and column q = (oy, ox), both row-major; the entry is
+// image[ic][oy·stride + ky][ox·stride + kx]. Every patch must lie inside the
+// image, so the pack needs no bounds test: a zero-padded convolution passes
+// its input with the zero border already in place (tensor::conv2d_forward
+// stages one such copy per sample).
+struct ConvPatches {
+  const float* image = nullptr;  // [cin, h, w]
+  int cin = 0, h = 0, w = 0;
+  int kh = 0, kw = 0;
+  int stride = 1;
+  int ho = 0, wo = 0;
+  int rows() const { return cin * kh * kw; }
+  int cols() const { return ho * wo; }
+};
+
+// gemm with B taken from conv patches: op(B) is the patch matrix itself
+// (trans_b == false: k == rows(), n == cols()) or its transpose (trans_b ==
+// true: k == cols(), n == rows()). The pack writes the same values an im2col
+// buffer would hold and the driver is shared with the dense overload, so the
+// result is bit-identical to im2col followed by gemm on that buffer.
+void gemm(bool trans_a, bool trans_b, int m, int n, int k, const float* a, int lda,
+          const ConvPatches& b, float* c, int ldc, bool accumulate,
           const GemmMask& mask = {}, const GemmEpilogue& epi = {});
 
 // The legacy scalar i-k-j kernel (with its `aik == 0` skip), kept as the

@@ -28,36 +28,10 @@ Tensor matmul_t(const Tensor& a, bool transpose_a, const Tensor& b, bool transpo
 }
 
 namespace {
+
 inline int conv_out_dim(int in, int kernel, int stride, int padding) {
   return (in + 2 * padding - kernel) / stride + 1;
 }
-}  // namespace
-
-void im2col(const float* image, int cin, int h, int w, int kh, int kw,
-            const Conv2dSpec& spec, int ho, int wo, float* col) {
-  float* cp = col;
-  for (int ic = 0; ic < cin; ++ic) {
-    const float* plane = image + static_cast<std::size_t>(ic) * h * w;
-    for (int ky = 0; ky < kh; ++ky) {
-      for (int kx = 0; kx < kw; ++kx) {
-        for (int oy = 0; oy < ho; ++oy) {
-          const int iy = oy * spec.stride - spec.padding + ky;
-          if (iy < 0 || iy >= h) {
-            for (int ox = 0; ox < wo; ++ox) *cp++ = 0.0f;
-            continue;
-          }
-          const float* row = &plane[static_cast<std::size_t>(iy) * w];
-          for (int ox = 0; ox < wo; ++ox) {
-            const int ix = ox * spec.stride - spec.padding + kx;
-            *cp++ = (ix < 0 || ix >= w) ? 0.0f : row[ix];
-          }
-        }
-      }
-    }
-  }
-}
-
-namespace {
 
 struct ConvDims {
   int n, cin, h, w, cout, kh, kw, ho, wo, kdim, pdim;
@@ -83,14 +57,55 @@ ConvDims conv_dims(const Tensor& input, const Tensor& weight, const Conv2dSpec& 
   return d;
 }
 
+// The implicit [kdim, pdim] patch matrix of sample b. Without padding it
+// reads the input in place. With padding, the sample is first copied into
+// `ws` inside its zero border (cin·(h+2p)·(w+2p) floats, roughly 1/(kh·kw)
+// of an im2col buffer), so every patch lies inside the image the pack reads.
+// The caller releases `ws`.
+ConvPatches sample_patches(const ConvDims& d, const Conv2dSpec& spec, const float* input,
+                           int b, Workspace& ws) {
+  const float* sample = input + static_cast<std::size_t>(b) * d.cin * d.h * d.w;
+  ConvPatches pt{sample, d.cin, d.h, d.w, d.kh, d.kw, spec.stride, d.ho, d.wo};
+  const int pad = spec.padding;
+  if (pad == 0) return pt;
+  pt.h = d.h + 2 * pad;
+  pt.w = d.w + 2 * pad;
+  const std::size_t plane = static_cast<std::size_t>(pt.h) * pt.w;
+  float* staged = ws.alloc_floats(static_cast<std::size_t>(d.cin) * plane);
+  std::fill_n(staged, static_cast<std::size_t>(d.cin) * plane, 0.0f);
+  for (int ic = 0; ic < d.cin; ++ic) {
+    for (int y = 0; y < d.h; ++y) {
+      std::copy_n(sample + (static_cast<std::size_t>(ic) * d.h + y) * d.w, d.w,
+                  staged + ic * plane + static_cast<std::size_t>(y + pad) * pt.w + pad);
+    }
+  }
+  pt.image = staged;
+  return pt;
+}
+
+// Unfold a patch matrix into a [kdim, pdim] column buffer; the quantized
+// scan kernels read B from memory, so they still need it.
+void im2col(const ConvPatches& b, float* col) {
+  for (int ic = 0; ic < b.cin; ++ic) {
+    for (int ky = 0; ky < b.kh; ++ky) {
+      for (int kx = 0; kx < b.kw; ++kx) {
+        for (int oy = 0; oy < b.ho; ++oy) {
+          const float* row =
+              b.image + (static_cast<std::size_t>(ic) * b.h + oy * b.stride + ky) * b.w + kx;
+          for (int ox = 0; ox < b.wo; ++ox) *col++ = row[ox * b.stride];
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
-Tensor conv2d_forward_cached(const Tensor& input, const Tensor& weight, const Tensor& bias,
-                             const Conv2dSpec& spec, std::vector<float>& col_cache,
-                             const std::uint8_t* channel_active, bool fuse_relu) {
+Tensor conv2d_forward(const Tensor& input, const Tensor& weight, const Tensor& bias,
+                      const Conv2dSpec& spec, const std::uint8_t* channel_active,
+                      bool fuse_relu) {
   const ConvDims d = conv_dims(input, weight, spec);
   FC_REQUIRE(bias.shape().rank() == 1 && bias.shape()[0] == d.cout, "conv2d bias mismatch");
-  col_cache.resize(static_cast<std::size_t>(d.n) * d.kdim * d.pdim);
 
   Tensor out(Shape{d.n, d.cout, d.ho, d.wo});
   const auto in = input.data();
@@ -99,19 +114,20 @@ Tensor conv2d_forward_cached(const Tensor& input, const Tensor& weight, const Te
   auto ov = out.data();
   const GemmMask mask{channel_active, nullptr};
 
-  // Each sample owns a disjoint slice of the column cache and of the output,
-  // so the batch dimension parallelizes without reordering any float op.
+  // Each sample owns a disjoint slice of the output, so the batch dimension
+  // parallelizes without reordering any float op. B is the sample's patch
+  // matrix, packed straight from the input.
   common::ambient_parallel_for(static_cast<std::size_t>(d.n), [&](std::size_t sample) {
     const int b = static_cast<int>(sample);
-    float* col = &col_cache[static_cast<std::size_t>(b) * d.kdim * d.pdim];
-    im2col(&in[static_cast<std::size_t>(b) * d.cin * d.h * d.w], d.cin, d.h, d.w, d.kh, d.kw,
-           spec, d.ho, d.wo, col);
+    Workspace& ws = Workspace::tls();
+    const Workspace::Mark mark = ws.mark();
+    const ConvPatches col = sample_patches(d, spec, in.data(), b, ws);
     float* osample = &ov[static_cast<std::size_t>(b) * d.cout * d.pdim];
     if (channel_active == nullptr) {
       // out[oc, :] = bias[oc] + weight[oc, :] · col, bias carried in as the
       // GEMM's row_bias epilogue (bit-identical to prefill + accumulate).
-      gemm(false, false, d.cout, d.pdim, d.kdim, wt.data(), d.kdim, col, d.pdim, osample,
-           d.pdim, /*accumulate=*/false, mask, GemmEpilogue{bs.data(), nullptr, fuse_relu});
+      gemm(false, false, d.cout, d.pdim, d.kdim, wt.data(), d.kdim, col, osample, d.pdim,
+           /*accumulate=*/false, mask, GemmEpilogue{bs.data(), nullptr, fuse_relu});
     } else {
       // Masked path keeps the explicit prefill: pruned channels are skipped
       // by the row mask (including the relu pass) and stay at the exact zero
@@ -120,24 +136,22 @@ Tensor conv2d_forward_cached(const Tensor& input, const Tensor& weight, const Te
         std::fill_n(osample + static_cast<std::size_t>(oc) * d.pdim, d.pdim,
                     channel_active[oc] != 0 ? bs[oc] : 0.0f);
       }
-      gemm(false, false, d.cout, d.pdim, d.kdim, wt.data(), d.kdim, col, d.pdim, osample,
-           d.pdim, /*accumulate=*/true, mask, GemmEpilogue{nullptr, nullptr, fuse_relu});
+      gemm(false, false, d.cout, d.pdim, d.kdim, wt.data(), d.kdim, col, osample, d.pdim,
+           /*accumulate=*/true, mask, GemmEpilogue{nullptr, nullptr, fuse_relu});
     }
+    ws.release(mark);
   });
   return out;
 }
 
 Tensor conv2d_forward_quant(const Tensor& input, const Tensor& weight, const Tensor& bias,
-                            const Conv2dSpec& spec, std::vector<float>& col_cache,
-                            ComputeKernel kernel, bool fuse_relu,
+                            const Conv2dSpec& spec, ComputeKernel kernel, bool fuse_relu,
                             const std::uint8_t* channel_active) {
   const ConvDims d = conv_dims(input, weight, spec);
   if (kernel == ComputeKernel::kF32 || d.pdim > kGemmNC) {
-    return conv2d_forward_cached(input, weight, bias, spec, col_cache, channel_active,
-                                 fuse_relu);
+    return conv2d_forward(input, weight, bias, spec, channel_active, fuse_relu);
   }
   FC_REQUIRE(bias.shape().rank() == 1 && bias.shape()[0] == d.cout, "conv2d bias mismatch");
-  col_cache.resize(static_cast<std::size_t>(d.n) * d.kdim * d.pdim);
 
   Tensor out(Shape{d.n, d.cout, d.ho, d.wo});
   const auto in = input.data();
@@ -145,20 +159,24 @@ Tensor conv2d_forward_quant(const Tensor& input, const Tensor& weight, const Ten
   const auto bs = bias.data();
   auto ov = out.data();
   const GemmEpilogue epi{bs.data(), nullptr, fuse_relu};
+  const std::size_t col_elems = static_cast<std::size_t>(d.kdim) * d.pdim;
 
   // Weights quantize/convert once per call and are shared read-only by every
   // sample; the quantized GEMMs are serial, so the batch loop provides the
   // parallelism (disjoint outputs, deterministic per-sample float sequences).
+  // Each sample unfolds into its thread's arena, released before the next.
   if (kernel == ComputeKernel::kInt8) {
     const PackedInt8A pa = pack_a_int8(wt.data(), d.kdim, d.cout, d.kdim,
                                        /*per_channel=*/true);
     common::ambient_parallel_for(static_cast<std::size_t>(d.n), [&](std::size_t sample) {
       const int b = static_cast<int>(sample);
-      float* col = &col_cache[static_cast<std::size_t>(b) * d.kdim * d.pdim];
-      im2col(&in[static_cast<std::size_t>(b) * d.cin * d.h * d.w], d.cin, d.h, d.w, d.kh,
-             d.kw, spec, d.ho, d.wo, col);
+      Workspace& ws = Workspace::tls();
+      const Workspace::Mark mark = ws.mark();
+      float* col = ws.alloc_floats(col_elems);
+      im2col(sample_patches(d, spec, in.data(), b, ws), col);
       gemm_s8(pa, d.pdim, col, d.pdim, &ov[static_cast<std::size_t>(b) * d.cout * d.pdim],
               d.pdim, /*accumulate=*/false, epi);
+      ws.release(mark);
     });
     return out;
   }
@@ -167,12 +185,10 @@ Tensor conv2d_forward_quant(const Tensor& input, const Tensor& weight, const Ten
   f32_to_f16_n(wt.data(), wq.size(), wq.data());
   common::ambient_parallel_for(static_cast<std::size_t>(d.n), [&](std::size_t sample) {
     const int b = static_cast<int>(sample);
-    float* col = &col_cache[static_cast<std::size_t>(b) * d.kdim * d.pdim];
-    im2col(&in[static_cast<std::size_t>(b) * d.cin * d.h * d.w], d.cin, d.h, d.w, d.kh, d.kw,
-           spec, d.ho, d.wo, col);
     Workspace& ws = Workspace::tls();
     const Workspace::Mark mark = ws.mark();
-    const std::size_t col_elems = static_cast<std::size_t>(d.kdim) * d.pdim;
+    float* col = ws.alloc_floats(col_elems);
+    im2col(sample_patches(d, spec, in.data(), b, ws), col);
     auto* colq = static_cast<std::uint16_t*>(ws.alloc_bytes(col_elems * sizeof(std::uint16_t)));
     f32_to_f16_n(col, col_elems, colq);
     gemm_f16(d.cout, d.pdim, d.kdim, wq.data(), d.kdim, colq, d.pdim,
@@ -183,23 +199,15 @@ Tensor conv2d_forward_quant(const Tensor& input, const Tensor& weight, const Ten
   return out;
 }
 
-Tensor conv2d_forward(const Tensor& input, const Tensor& weight, const Tensor& bias,
-                      const Conv2dSpec& spec) {
-  std::vector<float> scratch;
-  return conv2d_forward_cached(input, weight, bias, spec, scratch);
-}
-
-namespace {
-
-Conv2dGrads conv2d_backward_impl(const Tensor& input, const Tensor& weight,
-                                 const Tensor& grad_output, const Conv2dSpec& spec,
-                                 const float* col_cache,
-                                 const std::uint8_t* channel_active) {
+Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& weight,
+                            const Tensor& grad_output, const Conv2dSpec& spec,
+                            const std::uint8_t* channel_active) {
   const ConvDims d = conv_dims(input, weight, spec);
   FC_REQUIRE(grad_output.shape()[0] == d.n && grad_output.shape()[1] == d.cout,
              "conv2d_backward grad_output shape mismatch");
 
   Conv2dGrads g{Tensor(input.shape()), Tensor(weight.shape()), Tensor(Shape{d.cout})};
+  const auto in = input.data();
   const auto wt = weight.data();
   const auto go = grad_output.data();
   auto gi = g.grad_input.data();
@@ -222,7 +230,6 @@ Conv2dGrads conv2d_backward_impl(const Tensor& input, const Tensor& weight,
 
   common::ambient_parallel_for(static_cast<std::size_t>(d.n), [&](std::size_t sample) {
     const int b = static_cast<int>(sample);
-    const float* col = &col_cache[static_cast<std::size_t>(b) * d.kdim * d.pdim];
     const float* gsample = &go[static_cast<std::size_t>(b) * d.cout * d.pdim];
     float* gwp = &gw_partial[static_cast<std::size_t>(b) * wslot];
     float* gbp = &gb_partial[static_cast<std::size_t>(b) * d.cout];
@@ -239,14 +246,16 @@ Conv2dGrads conv2d_backward_impl(const Tensor& input, const Tensor& weight,
       for (int p = 0; p < d.pdim; ++p) gbacc += grow[p];
       gbp[oc] = gbacc;
     }
-    // gw[oc, k] = Σ_p grad[oc, p] · col[k, p]  (B read transposed).
-    gemm(false, true, d.cout, d.kdim, d.pdim, gsample, d.pdim, col, d.pdim, gwp, d.kdim,
-         /*accumulate=*/false, row_mask);
+    // gw[oc, k] = Σ_p grad[oc, p] · col[k, p]  (B is the transposed patch
+    // matrix, packed straight from the input).
+    Workspace& ws = Workspace::tls();
+    const Workspace::Mark smark = ws.mark();
+    gemm(false, true, d.cout, d.kdim, d.pdim, gsample, d.pdim,
+         sample_patches(d, spec, in.data(), b, ws), gwp, d.kdim, /*accumulate=*/false,
+         row_mask);
 
     // gcol[k, p] = Σ_oc w[oc, k] · grad[oc, p]  (A read transposed; pruned
     // channels drop out of the contraction).
-    Workspace& ws = Workspace::tls();
-    const Workspace::Mark smark = ws.mark();
     float* gcol = ws.alloc_floats(static_cast<std::size_t>(d.kdim) * d.pdim);
     gemm(true, false, d.kdim, d.pdim, d.cout, wt.data(), d.kdim, gsample, d.pdim, gcol,
          d.pdim, /*accumulate=*/false, contraction_mask);
@@ -285,35 +294,6 @@ Conv2dGrads conv2d_backward_impl(const Tensor& input, const Tensor& weight,
     for (int oc = 0; oc < d.cout; ++oc) gb[oc] += gbp[oc];
   }
   cws.release(outer);
-  return g;
-}
-
-}  // namespace
-
-Conv2dGrads conv2d_backward_cached(const Tensor& input, const Tensor& weight,
-                                   const Tensor& grad_output, const Conv2dSpec& spec,
-                                   const std::vector<float>& col_cache,
-                                   const std::uint8_t* channel_active) {
-  const ConvDims d = conv_dims(input, weight, spec);
-  FC_REQUIRE(col_cache.size() == static_cast<std::size_t>(d.n) * d.kdim * d.pdim,
-             "conv2d_backward column cache has the wrong size");
-  return conv2d_backward_impl(input, weight, grad_output, spec, col_cache.data(),
-                              channel_active);
-}
-
-Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& weight,
-                            const Tensor& grad_output, const Conv2dSpec& spec) {
-  const ConvDims d = conv_dims(input, weight, spec);
-  Workspace& ws = Workspace::tls();
-  const Workspace::Mark mk = ws.mark();
-  float* col = ws.alloc_floats(static_cast<std::size_t>(d.n) * d.kdim * d.pdim);
-  const auto in = input.data();
-  common::ambient_parallel_for(static_cast<std::size_t>(d.n), [&](std::size_t b) {
-    im2col(&in[b * d.cin * d.h * d.w], d.cin, d.h, d.w, d.kh, d.kw, spec, d.ho, d.wo,
-           &col[b * d.kdim * d.pdim]);
-  });
-  Conv2dGrads g = conv2d_backward_impl(input, weight, grad_output, spec, col, nullptr);
-  ws.release(mk);
   return g;
 }
 

@@ -25,8 +25,30 @@ struct Conv2dSpec {
 
 // input [N, Cin, H, W], weight [Cout, Cin, kh, kw], bias [Cout]
 // → output [N, Cout, Ho, Wo] with Ho = (H + 2p − kh)/s + 1.
+// Implicit GEMM: each sample's receptive fields are packed straight from the
+// input into the GEMM's B panels (tensor::ConvPatches), so no im2col buffer
+// is built; a padded conv only stages the sample inside its zero border, in
+// the thread's workspace arena. `channel_active` (optional, [Cout]) marks
+// pruned output channels: they are skipped in the packed GEMM and written as
+// exact zeros.
+// `fuse_relu` applies max(0, ·) inside the GEMM epilogue — bit-identical to
+// running nn::ReLU over the returned tensor (including -0.0f preservation),
+// but without the extra pass over memory.
 Tensor conv2d_forward(const Tensor& input, const Tensor& weight, const Tensor& bias,
-                      const Conv2dSpec& spec);
+                      const Conv2dSpec& spec, const std::uint8_t* channel_active = nullptr,
+                      bool fuse_relu = false);
+
+// Reduced-precision conv forward for activation-profiling scans: kF32
+// delegates to conv2d_forward; kInt8/kF16 run the quantized GEMMs (weights
+// packed once per call, activations quantized inside the pack), unfolding
+// one sample at a time into the thread's workspace arena.
+// Pruned channels need no mask support here — set_unit_active zeroes their
+// weights and bias, so they quantize to zero rows and stay exact zeros.
+// Falls back to fp32 when the spatial extent exceeds the quantized kernels'
+// single-pass column limit (kGemmNC).
+Tensor conv2d_forward_quant(const Tensor& input, const Tensor& weight, const Tensor& bias,
+                            const Conv2dSpec& spec, ComputeKernel kernel, bool fuse_relu = false,
+                            const std::uint8_t* channel_active = nullptr);
 
 struct Conv2dGrads {
   Tensor grad_input;
@@ -34,42 +56,13 @@ struct Conv2dGrads {
   Tensor grad_bias;
 };
 
+// Reads the same input the forward saw: the weight gradient packs its
+// transposed patches from it. Pruned channels (`channel_active`) get
+// exact-zero grad_weight/grad_bias rows and drop out of the grad_input
+// contraction.
 Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& weight,
-                            const Tensor& grad_output, const Conv2dSpec& spec);
-
-// im2col: unfold one image's receptive fields into a [kdim, pdim] column
-// buffer (kdim = Cin·kh·kw, pdim = Ho·Wo). Shared by conv forward/backward;
-// the NN layer caches the result so backward skips the rebuild.
-void im2col(const float* image, int cin, int h, int w, int kh, int kw,
-            const Conv2dSpec& spec, int ho, int wo, float* col);
-
-// Variants that reuse a caller-provided column cache holding the unfolded
-// batch ([N][kdim·pdim], concatenated). `channel_active` (optional, [Cout])
-// marks pruned output channels: inactive channels are skipped in the packed
-// GEMMs — forward writes exact zeros for them, backward produces exact-zero
-// grad_weight/grad_bias rows and drops them from the grad_input contraction.
-// `fuse_relu` applies max(0, ·) inside the GEMM epilogue — bit-identical to
-// running nn::ReLU over the returned tensor (including -0.0f preservation),
-// but without the extra pass over memory.
-Tensor conv2d_forward_cached(const Tensor& input, const Tensor& weight, const Tensor& bias,
-                             const Conv2dSpec& spec, std::vector<float>& col_cache,
-                             const std::uint8_t* channel_active = nullptr,
-                             bool fuse_relu = false);
-// Reduced-precision conv forward for activation-profiling scans: kF32
-// delegates to conv2d_forward_cached; kInt8/kF16 run the quantized GEMMs
-// (weights packed once per call, activations quantized inside the pack).
-// Pruned channels need no mask support here — set_unit_active zeroes their
-// weights and bias, so they quantize to zero rows and stay exact zeros.
-// Falls back to fp32 when the spatial extent exceeds the quantized kernels'
-// single-pass column limit (kGemmNC).
-Tensor conv2d_forward_quant(const Tensor& input, const Tensor& weight, const Tensor& bias,
-                            const Conv2dSpec& spec, std::vector<float>& col_cache,
-                            ComputeKernel kernel, bool fuse_relu = false,
+                            const Tensor& grad_output, const Conv2dSpec& spec,
                             const std::uint8_t* channel_active = nullptr);
-Conv2dGrads conv2d_backward_cached(const Tensor& input, const Tensor& weight,
-                                   const Tensor& grad_output, const Conv2dSpec& spec,
-                                   const std::vector<float>& col_cache,
-                                   const std::uint8_t* channel_active = nullptr);
 
 struct MaxPoolResult {
   Tensor output;

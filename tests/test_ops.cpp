@@ -12,7 +12,7 @@ using fedcleanse::common::Rng;
 namespace {
 
 // Reference convolution: the obvious quadruple loop, independent of the
-// im2col production kernel.
+// implicit-GEMM production kernel.
 Tensor conv_reference(const Tensor& input, const Tensor& weight, const Tensor& bias,
                       const Conv2dSpec& spec) {
   const int n = input.shape()[0], cin = input.shape()[1], h = input.shape()[2],
@@ -242,22 +242,4 @@ TEST(MeanStddev, HandComputed) {
 TEST(MeanStddev, EmptyThrows) {
   std::vector<float> empty;
   EXPECT_THROW(mean_stddev(empty), fedcleanse::Error);
-}
-
-TEST(Im2colCache, ForwardCachedMatchesUncached) {
-  Rng rng(11);
-  Tensor x = Tensor::randn(Shape{3, 4, 6, 6}, rng);
-  Tensor w = Tensor::randn(Shape{5, 4, 3, 3}, rng, 0.0f, 0.4f);
-  Tensor b = Tensor::randn(Shape{5}, rng);
-  Conv2dSpec spec{1, 1};
-  std::vector<float> cache;
-  auto cached = conv2d_forward_cached(x, w, b, spec, cache);
-  auto plain = conv2d_forward(x, w, b, spec);
-  EXPECT_EQ(cached.storage(), plain.storage());
-  // And the cache feeds a backward identical to the uncached path.
-  Tensor gy = Tensor::ones(cached.shape());
-  auto g1 = conv2d_backward_cached(x, w, gy, spec, cache);
-  auto g2 = conv2d_backward(x, w, gy, spec);
-  EXPECT_EQ(g1.grad_weight.storage(), g2.grad_weight.storage());
-  EXPECT_EQ(g1.grad_input.storage(), g2.grad_input.storage());
 }
