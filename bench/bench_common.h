@@ -239,7 +239,7 @@ struct MicroRecord {
   std::string size;        // e.g. "b32_c64" or "n256"
   double serial_ns = 0.0;  // ns/iter with no ambient pool
   double threaded_ns = 0.0;
-  std::string kernel;           // e.g. "gemm_packed" vs "legacy_scalar"; "" = n/a
+  std::string kernel;           // e.g. "f32_packed" vs "int8_prepacked"; "" = n/a
   double flops_per_iter = 0.0;  // 0 = not a flop-counted op
   double speedup() const { return threaded_ns > 0.0 ? serial_ns / threaded_ns : 0.0; }
   double gflops_serial() const {

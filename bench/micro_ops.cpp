@@ -101,26 +101,9 @@ bench::MicroRecord matmul(common::ThreadPool& pool, int n) {
   return rec;
 }
 
-// Same product through the legacy scalar i-k-j kernel: the packed-vs-legacy
-// pair in the JSON is what scripts/bench_compare.py tracks across commits.
-bench::MicroRecord matmul_legacy(common::ThreadPool& pool, int n) {
-  common::Rng rng(1);
-  auto a = tensor::Tensor::randn({n, n}, rng);
-  auto b = tensor::Tensor::randn({n, n}, rng);
-  tensor::Tensor c(tensor::Shape{n, n});
-  auto rec = bench::time_serial_vs_threaded("matmul", matmul_size(n), pool, [&] {
-    tensor::gemm_reference(false, false, n, n, n, a.data().data(), n, b.data().data(), n,
-                           c.data().data(), n, /*accumulate=*/false);
-    bench::do_not_optimize(c.data().data());
-  });
-  rec.kernel = "legacy_scalar";
-  rec.flops_per_iter = 2.0 * n * n * double(n);
-  return rec;
-}
-
 // Quantized GEMM rows at convolution-shaped problems (m=cout, k=cin·kh·kw,
-// n=ho·wo). The f32/int8/f16 triple shares op+size so bench_compare.py can
-// track the quantized speedup row-for-row. The int8 row times the real scan
+// n=ho·wo). The f32/int8 pair shares op+size so bench_compare.py can track
+// the quantized speedup row-for-row. The int8 row times the real scan
 // path: the weight operand is packed+quantized once (as conv2d_forward_quant
 // does per batch), the activation operand quantizes inside the call.
 bench::MicroRecord qgemm_f32(common::ThreadPool& pool, int m, int k, int n) {
@@ -151,25 +134,6 @@ bench::MicroRecord qgemm_int8(common::ThreadPool& pool, int m, int k, int n) {
     bench::do_not_optimize(c.data().data());
   });
   rec.kernel = "int8_prepacked";
-  rec.flops_per_iter = 2.0 * m * n * double(k);
-  return rec;
-}
-
-bench::MicroRecord qgemm_f16(common::ThreadPool& pool, int m, int k, int n) {
-  common::Rng rng(3);
-  auto a = tensor::Tensor::randn({m, k}, rng, 0.0f, 0.5f);
-  auto b = tensor::Tensor::randn({k, n}, rng, 0.0f, 0.5f);
-  tensor::Tensor c(tensor::Shape{m, n});
-  std::vector<std::uint16_t> ah(a.data().size()), bh(b.data().size());
-  tensor::f32_to_f16_n(a.data().data(), ah.size(), ah.data());
-  tensor::f32_to_f16_n(b.data().data(), bh.size(), bh.data());
-  const std::string size = qgemm_size(m, k, n);
-  auto rec = bench::time_serial_vs_threaded("qgemm", size, pool, [&] {
-    tensor::gemm_f16(m, n, k, ah.data(), k, bh.data(), n, c.data().data(), n,
-                     /*accumulate=*/false);
-    bench::do_not_optimize(c.data().data());
-  });
-  rec.kernel = "f16_packed";
   rec.flops_per_iter = 2.0 * m * n * double(k);
   return rec;
 }
@@ -216,14 +180,12 @@ int main() {
   for (int channels : {16, 32}) records.push_back(conv_backward(pool, 32, channels));
   records.push_back(conv_backward(pool, 8, 32));
   for (int n : {64, 256, 512}) records.push_back(matmul(pool, n));
-  for (int n : {256, 512}) records.push_back(matmul_legacy(pool, n));
 
   // Quantized kernels at conv-shaped GEMMs (m=cout, k=cin·kh·kw, n=ho·wo).
   for (const auto& [m, k, n] :
        {std::tuple{32, 144, 100}, std::tuple{64, 576, 64}, std::tuple{50, 500, 16}}) {
     records.push_back(qgemm_f32(pool, m, k, n));
     records.push_back(qgemm_int8(pool, m, k, n));
-    records.push_back(qgemm_f16(pool, m, k, n));
   }
   for (bool fused : {false, true}) records.push_back(conv_relu(pool, 32, 32, fused));
 

@@ -76,7 +76,7 @@ inline const char* deploy_flag_help() {
          "  --connect-timeout-ms N --accept-timeout-ms N --max-connect-retries N\n"
          "  --backoff-base-ms N --backoff-cap-ms N\n"
          "  --heartbeat-interval-ms N --heartbeat-timeout-ms N\n"
-         "  --scan-quant f32|f16|int8 --update-codec f32|int8\n"
+         "  --scan-quant f32|int8 --update-codec f32|int8\n"
          "  --checkpoint-dir PATH --checkpoint-every N --resume\n";
 }
 
@@ -131,7 +131,7 @@ inline bool parse_deploy_flag(int argc, char** argv, int& i, Options& opt) {
   } else if (has_value("--scan-quant")) {
     const auto kernel = fedcleanse::tensor::parse_compute_kernel(argv[++i]);
     if (!kernel) {
-      std::fprintf(stderr, "unknown scan kernel %s (want f32|f16|int8)\n", argv[i]);
+      std::fprintf(stderr, "unknown scan kernel %s (want f32|int8)\n", argv[i]);
       std::exit(2);
     }
     opt.scan_kernel = *kernel;

@@ -51,8 +51,8 @@ void usage(const char* argv0) {
       "  --prune-rate P     MVP vote rate (default 0.5)\n"
       "  --no-finetune      skip the fine-tuning stage\n"
       "  --no-aw            skip adjusting extreme weights\n"
-      "  --scan-quant f32|f16|int8  GEMM kernel for defense activation scans\n"
-      "                     (default f32; reduced precision speeds profiling)\n"
+      "  --scan-quant f32|int8  GEMM kernel for defense activation scans\n"
+      "                     (default f32; int8 speeds profiling)\n"
       "  --update-codec f32|int8    wire codec for client model updates\n"
       "                     (int8 shrinks uplink ~4x; aggregation stays fp32)\n"
       "  --save PATH        checkpoint the cleansed model\n"
@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
       const std::string v = next();
       const auto kernel = tensor::parse_compute_kernel(v);
       if (!kernel) {
-        std::fprintf(stderr, "unknown scan kernel %s (want f32|f16|int8)\n", v.c_str());
+        std::fprintf(stderr, "unknown scan kernel %s (want f32|int8)\n", v.c_str());
         return 2;
       }
       cfg.train.scan_kernel = *kernel;

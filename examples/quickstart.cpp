@@ -8,7 +8,7 @@
 // (TA) and attack success rate (AA) after every stage.
 //
 // Usage: quickstart [seed] [--clients N] [--select K]
-//                   [--scan-quant f32|f16|int8] [--update-codec f32|int8]
+//                   [--scan-quant f32|int8] [--update-codec f32|int8]
 //                   [--journal-out run.jsonl] [--trace-out trace.json]
 //                   [--checkpoint-dir DIR] [--checkpoint-every N] [--resume]
 //                   [--save model.fckp]
@@ -31,8 +31,11 @@
 // and rerun with --resume added to continue from the newest snapshot — the
 // final model is byte-identical to the uninterrupted run.
 //
-// --scan-quant runs the defense's activation-profiling scans under a
-// reduced-precision GEMM kernel (training math stays fp32). --update-codec
+// The seed is a bare decimal number; any other unrecognized argument, or a
+// flag missing its value, prints usage and exits 2.
+//
+// --scan-quant int8 runs the defense's activation-profiling scans under the
+// int8 GEMM kernel (training math stays fp32). --update-codec
 // int8 quantizes client→server update payloads on the wire (~4x smaller
 // uplink); the server dequantizes before aggregation. EXPERIMENTS.md records
 // the measured TA/AA deltas for both knobs.
@@ -55,6 +58,28 @@
 
 using namespace fedcleanse;
 
+namespace {
+
+void usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [seed] [--clients N] [--select K]\n"
+               "       [--scan-quant f32|int8] [--update-codec f32|int8]\n"
+               "       [--journal-out run.jsonl] [--trace-out trace.json]\n"
+               "       [--checkpoint-dir DIR] [--checkpoint-every N] [--resume]\n"
+               "       [--save model.fckp]\n",
+               argv0);
+}
+
+bool is_seed(const char* arg) {
+  if (*arg == '\0') return false;
+  for (const char* c = arg; *c != '\0'; ++c) {
+    if (*c < '0' || *c > '9') return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   common::init_log_level_from_env();
   obs::init_from_env();
@@ -69,39 +94,54 @@ int main(int argc, char** argv) {
   tensor::ComputeKernel scan_kernel = tensor::ComputeKernel::kF32;
   comm::UpdateCodec update_codec = comm::UpdateCodec::kF32;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--clients") == 0 && i + 1 < argc) {
-      clients = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--scan-quant") == 0 && i + 1 < argc) {
-      const auto kernel = tensor::parse_compute_kernel(argv[++i]);
+    const char* arg = argv[i];
+    auto next = [&]() -> const char* {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "missing value for %s\n", arg);
+        usage(argv[0]);
+        std::exit(2);
+      }
+      return argv[++i];
+    };
+    if (std::strcmp(arg, "--clients") == 0) {
+      clients = std::atoi(next());
+    } else if (std::strcmp(arg, "--scan-quant") == 0) {
+      const char* v = next();
+      const auto kernel = tensor::parse_compute_kernel(v);
       if (!kernel) {
-        std::fprintf(stderr, "unknown scan kernel %s (want f32|f16|int8)\n", argv[i]);
+        std::fprintf(stderr, "unknown scan kernel %s (want f32|int8)\n", v);
         return 2;
       }
       scan_kernel = *kernel;
-    } else if (std::strcmp(argv[i], "--update-codec") == 0 && i + 1 < argc) {
-      const auto codec = comm::parse_update_codec(argv[++i]);
+    } else if (std::strcmp(arg, "--update-codec") == 0) {
+      const char* v = next();
+      const auto codec = comm::parse_update_codec(v);
       if (!codec) {
-        std::fprintf(stderr, "unknown update codec %s (want f32|int8)\n", argv[i]);
+        std::fprintf(stderr, "unknown update codec %s (want f32|int8)\n", v);
         return 2;
       }
       update_codec = *codec;
-    } else if (std::strcmp(argv[i], "--select") == 0 && i + 1 < argc) {
-      select = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--journal-out") == 0 && i + 1 < argc) {
-      journal_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
-      obs::set_trace_path(argv[++i]);
+    } else if (std::strcmp(arg, "--select") == 0) {
+      select = std::atoi(next());
+    } else if (std::strcmp(arg, "--journal-out") == 0) {
+      journal_path = next();
+    } else if (std::strcmp(arg, "--trace-out") == 0) {
+      obs::set_trace_path(next());
       obs::set_metrics_enabled(true);
-    } else if (std::strcmp(argv[i], "--checkpoint-dir") == 0 && i + 1 < argc) {
-      checkpoint_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--checkpoint-every") == 0 && i + 1 < argc) {
-      checkpoint_every = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--resume") == 0) {
+    } else if (std::strcmp(arg, "--checkpoint-dir") == 0) {
+      checkpoint_dir = next();
+    } else if (std::strcmp(arg, "--checkpoint-every") == 0) {
+      checkpoint_every = std::atoi(next());
+    } else if (std::strcmp(arg, "--resume") == 0) {
       resume = true;
-    } else if (std::strcmp(argv[i], "--save") == 0 && i + 1 < argc) {
-      save_path = argv[++i];
+    } else if (std::strcmp(arg, "--save") == 0) {
+      save_path = next();
+    } else if (is_seed(arg)) {
+      seed = std::strtoull(arg, nullptr, 10);
     } else {
-      seed = std::strtoull(argv[i], nullptr, 10);
+      std::fprintf(stderr, "unknown option %s\n", arg);
+      usage(argv[0]);
+      return 2;
     }
   }
   if (resume && checkpoint_dir.empty()) {

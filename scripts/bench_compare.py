@@ -19,7 +19,7 @@ count, which differs between the machine that produced the baseline and CI.
 
 Two informational summaries follow the regression table (neither gates):
   * quantized-kernel speedups within the candidate — for every (op, size)
-    carrying an f32 row plus int8/f16/fused siblings, the ratio of the f32
+    carrying an f32 row plus int8/fused siblings, the ratio of the f32
     (or unfused) serial time to the sibling's;
   * wire-bytes deltas for fl_scale rungs that report wire_bytes, so a codec
     change shows its uplink shrink next to the perf numbers.
@@ -61,7 +61,6 @@ def fmt_key(key: tuple[str, str, str]) -> str:
 # against the plain fp32 row that shares their (op, size).
 QUANT_PAIRS = {
     "int8_prepacked": "f32_packed",
-    "f16_packed": "f32_packed",
     "fused_epilogue": "unfused",
 }
 

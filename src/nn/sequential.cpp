@@ -50,10 +50,6 @@ Tensor Sequential::forward(const Tensor& x) {
   return run_forward(x, -1, nullptr, tensor::ComputeKernel::kF32, false);
 }
 
-Tensor Sequential::forward(const Tensor& x, tensor::ComputeKernel kernel) {
-  return run_forward(x, -1, nullptr, kernel, false);
-}
-
 Tensor Sequential::forward_with_tap(const Tensor& x, int tap_index, Tensor& tap_out) {
   return forward_with_tap(x, tap_index, tap_out, tensor::ComputeKernel::kF32);
 }

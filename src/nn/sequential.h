@@ -31,15 +31,14 @@ class Sequential {
   const Layer& layer(int i) const { return *layers_[static_cast<std::size_t>(i)]; }
 
   // Forward fuses Conv2d+ReLU pairs into a single GEMM-with-epilogue step
-  // (bit-identical to running the layers separately). The ComputeKernel
-  // overloads run convolutions under a reduced-precision kernel — opt-in,
-  // used only by the defense's activation-profiling scans.
+  // (bit-identical to running the layers separately).
   Tensor forward(const Tensor& x);
-  Tensor forward(const Tensor& x, tensor::ComputeKernel kernel);
   // Forward that additionally copies the output of layer `tap_index` into
   // `tap_out` (used to record activations at the pruning layer). A tap on a
   // Conv2d whose ReLU would be fused suppresses that fusion so the tapped
-  // values stay pre-activation.
+  // values stay pre-activation. The ComputeKernel overload runs convolutions
+  // under a reduced-precision kernel — opt-in, used only by the defense's
+  // activation-profiling scans.
   Tensor forward_with_tap(const Tensor& x, int tap_index, Tensor& tap_out);
   Tensor forward_with_tap(const Tensor& x, int tap_index, Tensor& tap_out,
                           tensor::ComputeKernel kernel);

@@ -1,5 +1,5 @@
-// Register-tile microkernels and epilogue passes shared by the fp32 GEMM
-// (gemm.cpp) and the quantized drivers (gemm_quant.cpp). Internal to
+// Register-tile microkernels of the fp32 GEMM (gemm.cpp) and the epilogue
+// passes it shares with the int8 driver (gemm_quant.cpp). Internal to
 // src/tensor — not part of the public kernel API.
 #pragma once
 

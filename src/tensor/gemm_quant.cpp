@@ -1,4 +1,4 @@
-// int8 and fp16 GEMM drivers (DESIGN.md §16).
+// int8 GEMM driver (DESIGN.md §16).
 //
 // The int8 path reuses the fp32 kernel's blocking (KC-depth panels, MR-row
 // strips, NR-column slivers) but contracts int16 *pairs*: both AVX2's
@@ -259,34 +259,12 @@ void add_row_bias(float* c, int ldc, int m, int n, const float* rb) {
   }
 }
 
-// The whole epilogue runs as a post-pass here (the quantized paths carry no
+// The whole epilogue runs as a post-pass here (the int8 path carries no
 // bitwise-identity contract, so there is nothing to stage block-by-block).
 void apply_epilogue(float* c, int ldc, int m, int n, const GemmEpilogue& epi) {
   if (epi.row_bias != nullptr) add_row_bias(c, ldc, m, n, epi.row_bias);
   detail::epilogue_cols(c, ldc, 0, m, 0, n, nullptr, epi);
   if (epi.softmax) detail::epilogue_softmax(c, ldc, 0, m, n, nullptr);
-}
-
-// fp16 packs: convert to fp32 on the way into the panel buffers, then run
-// the shared fp32 register tile — storage is binary16, arithmetic is fp32.
-void pack_b_sliver_f16(const std::uint16_t* b, int ldb, int k0, int kc, int j0,
-                       int n_sub, float* bp) {
-  for (int p = 0; p < kc; ++p) {
-    const std::uint16_t* src = b + static_cast<std::size_t>(k0 + p) * ldb + j0;
-    float* dst = bp + static_cast<std::size_t>(p) * kGemmNR;
-    f16_to_f32_n(src, static_cast<std::size_t>(n_sub), dst);
-    for (int j = n_sub; j < kGemmNR; ++j) dst[j] = 0.0f;
-  }
-}
-
-void pack_a_strip_f16(const std::uint16_t* a, int lda, int k0, int kc, int i0, int m_sub,
-                      float* ap) {
-  for (int p = 0; p < kc; ++p) {
-    float* dst = ap + static_cast<std::size_t>(p) * kGemmMR;
-    int i = 0;
-    for (; i < m_sub; ++i) dst[i] = f16_to_f32(a[static_cast<std::size_t>(i0 + i) * lda + k0 + p]);
-    for (; i < kGemmMR; ++i) dst[i] = 0.0f;
-  }
 }
 
 }  // namespace
@@ -391,62 +369,6 @@ void gemm_s8(const PackedInt8A& pa, int n, const float* b, int ldb, float* c, in
         micro(pairs, ablk + static_cast<std::size_t>(is) * pa.strip_stride, bsl, acc);
         store_tile_s8(acc, c + static_cast<std::size_t>(r0) * ldc + j0, ldc, m_sub, n_sub,
                       acc_block, pa.scales.data() + r0, sb);
-      }
-    }
-  }
-  ws.release(mark);
-  apply_epilogue(c, ldc, m, n, epi);
-}
-
-void gemm_f16(int m, int n, int k, const std::uint16_t* a, int lda,
-              const std::uint16_t* b, int ldb, float* c, int ldc, bool accumulate,
-              const GemmEpilogue& epi) {
-  if (m <= 0 || n <= 0) return;
-  FC_REQUIRE(n <= kGemmNC, "gemm_f16 requires n <= kGemmNC");
-  FC_REQUIRE(epi.row_bias == nullptr || !accumulate,
-             "gemm_f16 row_bias epilogue requires accumulate == false");
-  if (k <= 0) {
-    if (!accumulate) {
-      for (int i = 0; i < m; ++i) std::fill_n(c + static_cast<std::size_t>(i) * ldc, n, 0.0f);
-    }
-    apply_epilogue(c, ldc, m, n, epi);
-    return;
-  }
-  FC_METRIC(gemm_calls().inc());
-  FC_METRIC(gemm_flops().add(2 * static_cast<std::uint64_t>(m) * n * k));
-
-  Workspace& ws = Workspace::tls();
-  const Workspace::Mark mark = ws.mark();
-  const int n_slivers = ceil_div(n, kGemmNR);
-  const int n_strips = ceil_div(m, kGemmMR);
-  float* bp = ws.alloc_floats(static_cast<std::size_t>(n_slivers) * kGemmKC * kGemmNR);
-  float* ap = ws.alloc_floats(static_cast<std::size_t>(kGemmKC) * kGemmMR);
-
-  for (int pc = 0, blk = 0; pc < k; pc += kGemmKC, ++blk) {
-    const int kc = std::min(kGemmKC, k - pc);
-    const bool acc_block = accumulate || blk > 0;
-    for (int js = 0; js < n_slivers; ++js) {
-      pack_b_sliver_f16(b, ldb, pc, kc, js * kGemmNR, std::min(kGemmNR, n - js * kGemmNR),
-                        bp + static_cast<std::size_t>(js) * kc * kGemmNR);
-    }
-    for (int is = 0; is < n_strips; ++is) {
-      const int r0 = is * kGemmMR;
-      const int m_sub = std::min(kGemmMR, m - r0);
-      pack_a_strip_f16(a, lda, pc, kc, r0, m_sub, ap);
-      for (int js = 0; js < n_slivers; ++js) {
-        const int j0 = js * kGemmNR;
-        const int n_sub = std::min(kGemmNR, n - j0);
-        const float* bsl = bp + static_cast<std::size_t>(js) * kc * kGemmNR;
-        float* csl = c + static_cast<std::size_t>(r0) * ldc + j0;
-        if (m_sub == kGemmMR && n_sub == kGemmNR) {
-          if (acc_block) {
-            detail::micro_full<true, false>(kc, ap, bsl, csl, ldc);
-          } else {
-            detail::micro_full<false, false>(kc, ap, bsl, csl, ldc);
-          }
-        } else {
-          detail::micro_edge(kc, ap, bsl, csl, ldc, m_sub, n_sub, acc_block, nullptr);
-        }
       }
     }
   }

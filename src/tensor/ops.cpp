@@ -83,8 +83,8 @@ ConvPatches sample_patches(const ConvDims& d, const Conv2dSpec& spec, const floa
   return pt;
 }
 
-// Unfold a patch matrix into a [kdim, pdim] column buffer; the quantized
-// scan kernels read B from memory, so they still need it.
+// Unfold a patch matrix into a [kdim, pdim] column buffer; the int8 scan
+// kernel reads B from memory, so it still needs it.
 void im2col(const ConvPatches& b, float* col) {
   for (int ic = 0; ic < b.cin; ++ic) {
     for (int ky = 0; ky < b.kh; ++ky) {
@@ -161,39 +161,20 @@ Tensor conv2d_forward_quant(const Tensor& input, const Tensor& weight, const Ten
   const GemmEpilogue epi{bs.data(), nullptr, fuse_relu};
   const std::size_t col_elems = static_cast<std::size_t>(d.kdim) * d.pdim;
 
-  // Weights quantize/convert once per call and are shared read-only by every
-  // sample; the quantized GEMMs are serial, so the batch loop provides the
-  // parallelism (disjoint outputs, deterministic per-sample float sequences).
-  // Each sample unfolds into its thread's arena, released before the next.
-  if (kernel == ComputeKernel::kInt8) {
-    const PackedInt8A pa = pack_a_int8(wt.data(), d.kdim, d.cout, d.kdim,
-                                       /*per_channel=*/true);
-    common::ambient_parallel_for(static_cast<std::size_t>(d.n), [&](std::size_t sample) {
-      const int b = static_cast<int>(sample);
-      Workspace& ws = Workspace::tls();
-      const Workspace::Mark mark = ws.mark();
-      float* col = ws.alloc_floats(col_elems);
-      im2col(sample_patches(d, spec, in.data(), b, ws), col);
-      gemm_s8(pa, d.pdim, col, d.pdim, &ov[static_cast<std::size_t>(b) * d.cout * d.pdim],
-              d.pdim, /*accumulate=*/false, epi);
-      ws.release(mark);
-    });
-    return out;
-  }
-
-  std::vector<std::uint16_t> wq(static_cast<std::size_t>(d.cout) * d.kdim);
-  f32_to_f16_n(wt.data(), wq.size(), wq.data());
+  // Weights quantize once per call and are shared read-only by every sample;
+  // the int8 GEMM is serial, so the batch loop provides the parallelism
+  // (disjoint outputs, deterministic per-sample float sequences). Each sample
+  // unfolds into its thread's arena, released before the next.
+  const PackedInt8A pa = pack_a_int8(wt.data(), d.kdim, d.cout, d.kdim,
+                                     /*per_channel=*/true);
   common::ambient_parallel_for(static_cast<std::size_t>(d.n), [&](std::size_t sample) {
     const int b = static_cast<int>(sample);
     Workspace& ws = Workspace::tls();
     const Workspace::Mark mark = ws.mark();
     float* col = ws.alloc_floats(col_elems);
     im2col(sample_patches(d, spec, in.data(), b, ws), col);
-    auto* colq = static_cast<std::uint16_t*>(ws.alloc_bytes(col_elems * sizeof(std::uint16_t)));
-    f32_to_f16_n(col, col_elems, colq);
-    gemm_f16(d.cout, d.pdim, d.kdim, wq.data(), d.kdim, colq, d.pdim,
-             &ov[static_cast<std::size_t>(b) * d.cout * d.pdim], d.pdim,
-             /*accumulate=*/false, epi);
+    gemm_s8(pa, d.pdim, col, d.pdim, &ov[static_cast<std::size_t>(b) * d.cout * d.pdim],
+            d.pdim, /*accumulate=*/false, epi);
     ws.release(mark);
   });
   return out;

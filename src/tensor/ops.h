@@ -39,12 +39,12 @@ Tensor conv2d_forward(const Tensor& input, const Tensor& weight, const Tensor& b
                       bool fuse_relu = false);
 
 // Reduced-precision conv forward for activation-profiling scans: kF32
-// delegates to conv2d_forward; kInt8/kF16 run the quantized GEMMs (weights
-// packed once per call, activations quantized inside the pack), unfolding
-// one sample at a time into the thread's workspace arena.
+// delegates to conv2d_forward; kInt8 runs the int8 GEMM (weights packed once
+// per call, activations quantized inside the pack), unfolding one sample at a
+// time into the thread's workspace arena.
 // Pruned channels need no mask support here — set_unit_active zeroes their
 // weights and bias, so they quantize to zero rows and stay exact zeros.
-// Falls back to fp32 when the spatial extent exceeds the quantized kernels'
+// Falls back to fp32 when the spatial extent exceeds the int8 kernel's
 // single-pass column limit (kGemmNC).
 Tensor conv2d_forward_quant(const Tensor& input, const Tensor& weight, const Tensor& bias,
                             const Conv2dSpec& spec, ComputeKernel kernel, bool fuse_relu = false,

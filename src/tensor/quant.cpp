@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 namespace fedcleanse::tensor {
 
 const char* compute_kernel_name(ComputeKernel kernel) {
   switch (kernel) {
     case ComputeKernel::kF32: return "f32";
-    case ComputeKernel::kF16: return "f16";
     case ComputeKernel::kInt8: return "int8";
   }
   return "unknown";
@@ -17,7 +15,6 @@ const char* compute_kernel_name(ComputeKernel kernel) {
 
 std::optional<ComputeKernel> parse_compute_kernel(const std::string& name) {
   if (name == "f32") return ComputeKernel::kF32;
-  if (name == "f16") return ComputeKernel::kF16;
   if (name == "int8") return ComputeKernel::kInt8;
   return std::nullopt;
 }
@@ -63,93 +60,5 @@ void quantize_s8(const float* x, std::size_t n, float scale, std::int8_t* q) {
 void dequantize_s8(const std::int8_t* q, std::size_t n, float scale, float* x) {
   for (std::size_t i = 0; i < n; ++i) x[i] = static_cast<float>(q[i]) * scale;
 }
-
-#if defined(__FLT16_MAX__)
-
-std::uint16_t f32_to_f16(float v) {
-  const _Float16 h = static_cast<_Float16>(v);
-  std::uint16_t bits;
-  std::memcpy(&bits, &h, sizeof(bits));
-  return bits;
-}
-
-float f16_to_f32(std::uint16_t h) {
-  _Float16 v;
-  std::memcpy(&v, &h, sizeof(v));
-  return static_cast<float>(v);
-}
-
-void f32_to_f16_n(const float* x, std::size_t n, std::uint16_t* out) {
-  // The element type punning keeps this a straight-line convert loop, which
-  // GCC turns into vcvtps2ph under F16C.
-  auto* dst = reinterpret_cast<_Float16*>(out);
-  for (std::size_t i = 0; i < n; ++i) dst[i] = static_cast<_Float16>(x[i]);
-}
-
-void f16_to_f32_n(const std::uint16_t* x, std::size_t n, float* out) {
-  const auto* src = reinterpret_cast<const _Float16*>(x);
-  for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<float>(src[i]);
-}
-
-#else  // portable binary16 conversion, round-to-nearest-even
-
-std::uint16_t f32_to_f16(float v) {
-  std::uint32_t f;
-  std::memcpy(&f, &v, sizeof(f));
-  const std::uint32_t sign = (f >> 16) & 0x8000u;
-  const std::uint32_t mag = f & 0x7FFFFFFFu;
-  if (mag >= 0x7F800000u) {  // inf / NaN
-    return static_cast<std::uint16_t>(sign | 0x7C00u | (mag > 0x7F800000u ? 0x200u : 0u));
-  }
-  if (mag >= 0x47800000u) {  // overflows binary16 -> inf
-    return static_cast<std::uint16_t>(sign | 0x7C00u);
-  }
-  if (mag < 0x38800000u) {  // subnormal or zero in binary16
-    const std::uint32_t shifted = mag ? (mag & 0x7FFFFFu) | 0x800000u : 0u;
-    const int shift = mag ? 126 - static_cast<int>(mag >> 23) : 0;
-    if (!mag || shift > 24) return static_cast<std::uint16_t>(sign);
-    std::uint32_t m = shifted >> (shift + 13);
-    const std::uint32_t rem = shifted & ((1u << (shift + 13)) - 1u);
-    const std::uint32_t half = 1u << (shift + 12);
-    if (rem > half || (rem == half && (m & 1u))) ++m;
-    return static_cast<std::uint16_t>(sign | m);
-  }
-  std::uint32_t rounded = mag + 0xFFFu + ((mag >> 13) & 1u);
-  return static_cast<std::uint16_t>(sign | ((rounded - 0x38000000u) >> 13));
-}
-
-float f16_to_f32(std::uint16_t h) {
-  const std::uint32_t sign = static_cast<std::uint32_t>(h & 0x8000u) << 16;
-  const std::uint32_t exp = (h >> 10) & 0x1Fu;
-  std::uint32_t man = h & 0x3FFu;
-  std::uint32_t f;
-  if (exp == 0x1Fu) {
-    f = sign | 0x7F800000u | (man << 13);
-  } else if (exp != 0) {
-    f = sign | ((exp + 112u) << 23) | (man << 13);
-  } else if (man != 0) {
-    int e = -1;
-    do {
-      ++e;
-      man <<= 1;
-    } while ((man & 0x400u) == 0);
-    f = sign | ((113u - e - 1u) << 23) | ((man & 0x3FFu) << 13);
-  } else {
-    f = sign;
-  }
-  float v;
-  std::memcpy(&v, &f, sizeof(v));
-  return v;
-}
-
-void f32_to_f16_n(const float* x, std::size_t n, std::uint16_t* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = f32_to_f16(x[i]);
-}
-
-void f16_to_f32_n(const std::uint16_t* x, std::size_t n, float* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = f16_to_f32(x[i]);
-}
-
-#endif
 
 }  // namespace fedcleanse::tensor

@@ -1,16 +1,11 @@
 // Reduced-precision compute primitives (DESIGN.md §16).
 //
-// Two storage formats ride on the same blocked-GEMM skeleton as the fp32
-// kernel, both strictly opt-in — fp32 stays the determinism reference:
-//
-//   int8  — symmetric linear quantization (zero-point 0). Weights quantize
-//           per output channel (scale_i = max|row_i| / 127), activations
-//           per tensor; products accumulate in int32 (a KC=256 depth of
-//           127·127 pair-sums peaks at ~4.2e6, far inside int32) and
-//           dequantize into fp32 C with a single fused multiply.
-//   fp16  — IEEE binary16 storage with fp32 accumulation: operands convert
-//           on pack, every arithmetic op is fp32, so the only error is the
-//           storage rounding of A and B.
+// int8 rides on the same blocked-GEMM skeleton as the fp32 kernel and is
+// strictly opt-in — fp32 stays the determinism reference. It is symmetric
+// linear quantization (zero-point 0): weights quantize per output channel
+// (scale_i = max|row_i| / 127), activations per tensor; products accumulate
+// in int32 (a KC=256 depth of 127·127 pair-sums peaks at ~4.2e6, far inside
+// int32) and dequantize into fp32 C with a single fused multiply.
 //
 // Quantized GEMMs are serial by design: conv callers parallelize across
 // batch samples, which keeps per-element work deterministic.
@@ -28,7 +23,7 @@ namespace fedcleanse::tensor {
 
 // Per-call kernel selector for forward paths that tolerate reduced
 // precision (the defense's activation-profiling scans).
-enum class ComputeKernel : std::uint8_t { kF32 = 0, kF16 = 1, kInt8 = 2 };
+enum class ComputeKernel : std::uint8_t { kF32 = 0, kInt8 = 1 };
 
 const char* compute_kernel_name(ComputeKernel kernel);
 std::optional<ComputeKernel> parse_compute_kernel(const std::string& name);
@@ -50,13 +45,6 @@ float int8_scale(float maxabs);
 // q[i] = clamp(round(x[i] / scale), -127, 127), round-to-nearest-even.
 void quantize_s8(const float* x, std::size_t n, float scale, std::int8_t* q);
 void dequantize_s8(const std::int8_t* q, std::size_t n, float scale, float* x);
-
-// IEEE binary16 <-> binary32, round-to-nearest-even. Hardware F16C when the
-// compiler provides _Float16, portable bit manipulation otherwise.
-std::uint16_t f32_to_f16(float v);
-float f16_to_f32(std::uint16_t h);
-void f32_to_f16_n(const float* x, std::size_t n, std::uint16_t* out);
-void f16_to_f32_n(const std::uint16_t* x, std::size_t n, float* out);
 
 // A (the weight operand) quantized and packed once per scan: row-major
 // [m, k] source laid out as KC-depth blocks of MR-row strips, each depth
@@ -82,11 +70,5 @@ PackedInt8A pack_a_int8(const float* a, int lda, int m, int k, bool per_channel)
 // fold into fp32 C. Supports the full GemmEpilogue; requires n <= kGemmNC.
 void gemm_s8(const PackedInt8A& a, int n, const float* b, int ldb, float* c, int ldc,
              bool accumulate, const GemmEpilogue& epi = {});
-
-// C[m,n] (+)= A·B with fp16 storage and fp32 accumulation. A is [m,k] and
-// B is [k,n], both row-major binary16; requires n <= kGemmNC.
-void gemm_f16(int m, int n, int k, const std::uint16_t* a, int lda,
-              const std::uint16_t* b, int ldb, float* c, int ldc, bool accumulate,
-              const GemmEpilogue& epi = {});
 
 }  // namespace fedcleanse::tensor

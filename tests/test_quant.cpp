@@ -1,11 +1,14 @@
-// The reduced-precision paths (DESIGN.md §16): quantize/dequantize round-trip
-// error bounds, the int8 and fp16 GEMMs against the scalar oracle, the fused
-// GEMM epilogues against the unfused pipeline (bitwise for bias/ReLU/softmax,
-// since their placement was chosen to replicate the unfused operation order),
-// and an exact-grid case where even the int8 path must match bit for bit.
+// The reduced-precision path (DESIGN.md §16): quantize/dequantize round-trip
+// error bounds, the int8 GEMM against the scalar oracle, the int8 conv scan
+// against the fp32 conv, the fused GEMM epilogues against the unfused
+// pipeline (bitwise for bias/ReLU/softmax, since their placement was chosen
+// to replicate the unfused operation order), and an exact-grid case where
+// even the int8 path must match bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -39,11 +42,12 @@ float rel_error(const std::vector<float>& ref, const std::vector<float>& got) {
 }
 
 TEST(QuantPrimitives, KernelNamesRoundTrip) {
-  for (auto k : {ComputeKernel::kF32, ComputeKernel::kF16, ComputeKernel::kInt8}) {
+  for (auto k : {ComputeKernel::kF32, ComputeKernel::kInt8}) {
     const auto parsed = tensor::parse_compute_kernel(tensor::compute_kernel_name(k));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, k);
   }
+  EXPECT_FALSE(tensor::parse_compute_kernel("f16").has_value());
   EXPECT_FALSE(tensor::parse_compute_kernel("bf16").has_value());
 }
 
@@ -93,32 +97,6 @@ TEST(QuantPrimitives, QuantizeClampsOutOfRangeValues) {
   EXPECT_EQ(q[0], 127);
   EXPECT_EQ(q[1], -127);
   EXPECT_EQ(q[2], 0);
-}
-
-TEST(QuantPrimitives, F16RoundTripIsExactForHalfRepresentables) {
-  // Values exactly representable in binary16 survive the trip untouched.
-  for (float v : {0.0f, -0.0f, 1.0f, -1.0f, 0.5f, 1024.0f, 65504.0f, -65504.0f}) {
-    EXPECT_EQ(tensor::f16_to_f32(tensor::f32_to_f16(v)), v) << v;
-  }
-}
-
-TEST(QuantPrimitives, F16RoundTripBoundedByRelativeEpsilon) {
-  common::Rng rng(13);
-  for (int i = 0; i < 1000; ++i) {
-    const float v = static_cast<float>(rng.normal()) * 10.0f;
-    const float back = tensor::f16_to_f32(tensor::f32_to_f16(v));
-    // binary16 has a 10-bit significand: eps = 2^-10 relative, once rounded.
-    EXPECT_LE(std::fabs(v - back), std::fabs(v) * (1.0f / 1024.0f) + 6e-8f) << v;
-  }
-  std::vector<float> xs(257);
-  for (auto& v : xs) v = static_cast<float>(rng.normal());
-  std::vector<std::uint16_t> hs(xs.size());
-  std::vector<float> back(xs.size());
-  tensor::f32_to_f16_n(xs.data(), xs.size(), hs.data());
-  tensor::f16_to_f32_n(hs.data(), hs.size(), back.data());
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    EXPECT_EQ(back[i], tensor::f16_to_f32(tensor::f32_to_f16(xs[i])));
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -205,25 +183,65 @@ TEST(GemmS8, ExactOnInt8GridIsBitIdenticalToReference) {
 }
 
 // ---------------------------------------------------------------------------
-// fp16 GEMM vs the scalar oracle
+// int8 conv scan vs the fp32 conv
 
-TEST(GemmF16, MatchesReferenceWithinStorageRounding) {
-  const int shapes[][3] = {{4, 16, 16}, {32, 144, 100}, {5, 7, 3}, {50, 500, 16}, {4, 513, 33}};
-  for (const auto& s : shapes) {
-    const int m = s[0], k = s[1], n = s[2];
-    const auto a = random_matrix(m, k, 500 + m);
-    const auto b = random_matrix(k, n, 600 + n);
-    std::vector<float> ref(static_cast<std::size_t>(m) * n);
-    tensor::gemm_reference(false, false, m, n, k, a.data(), k, b.data(), n, ref.data(), n,
-                           false);
-    std::vector<std::uint16_t> ah(a.size()), bh(b.size());
-    tensor::f32_to_f16_n(a.data(), a.size(), ah.data());
-    tensor::f32_to_f16_n(b.data(), b.size(), bh.data());
-    std::vector<float> got(ref.size());
-    tensor::gemm_f16(m, n, k, ah.data(), k, bh.data(), n, got.data(), n, false);
-    // Storage rounding only: ~2^-10 relative per operand.
-    EXPECT_LT(rel_error(ref, got), 0.005f) << "m=" << m << " k=" << k << " n=" << n;
+TEST(ConvQuant, Int8TracksF32PrunesExactlyAndFallsBackBitwise) {
+  common::Rng rng(131);
+  struct Case {
+    int n, cin, h, w, cout, k, stride, padding;
+    bool relu;
+  };
+  // Padded and strided geometries, with and without the fused ReLU.
+  const Case cases[] = {{2, 3, 12, 12, 8, 3, 1, 1, false},
+                        {3, 4, 11, 9, 6, 3, 2, 1, true},
+                        {2, 2, 13, 13, 5, 5, 2, 0, false},
+                        {1, 5, 9, 10, 7, 3, 2, 2, true}};
+  for (const auto& c : cases) {
+    const auto x = tensor::Tensor::randn(tensor::Shape{c.n, c.cin, c.h, c.w}, rng);
+    auto wt = tensor::Tensor::randn(tensor::Shape{c.cout, c.cin, c.k, c.k}, rng, 0.0f, 0.3f);
+    auto bias = tensor::Tensor::randn(tensor::Shape{c.cout}, rng, 0.0f, 0.1f);
+    const tensor::Conv2dSpec spec{c.stride, c.padding};
+    const auto ref = tensor::conv2d_forward(x, wt, bias, spec, nullptr, c.relu);
+    const auto got =
+        tensor::conv2d_forward_quant(x, wt, bias, spec, ComputeKernel::kInt8, c.relu);
+    ASSERT_EQ(got.shape(), ref.shape());
+    float refmax = 0.0f;
+    for (float v : ref.storage()) refmax = std::max(refmax, std::fabs(v));
+    ASSERT_GT(refmax, 0.0f);
+    for (std::size_t i = 0; i < ref.storage().size(); ++i) {
+      EXPECT_NEAR(got.storage()[i], ref.storage()[i], 0.05f * refmax)
+          << "stride=" << c.stride << " padding=" << c.padding << " i=" << i;
+    }
+
+    // A pruned channel (zeroed weights and bias, as set_unit_active leaves
+    // it) quantizes to a zero row and comes out as exact zeros.
+    const int pruned = c.cout / 2;
+    const std::size_t wrow = static_cast<std::size_t>(c.cin) * c.k * c.k;
+    std::fill_n(wt.storage().begin() + static_cast<std::ptrdiff_t>(pruned * wrow), wrow, 0.0f);
+    bias.storage()[static_cast<std::size_t>(pruned)] = 0.0f;
+    std::vector<std::uint8_t> active(static_cast<std::size_t>(c.cout), 1);
+    active[static_cast<std::size_t>(pruned)] = 0;
+    const auto masked = tensor::conv2d_forward_quant(x, wt, bias, spec, ComputeKernel::kInt8,
+                                                     c.relu, active.data());
+    const int plane = masked.shape()[2] * masked.shape()[3];
+    for (int b = 0; b < c.n; ++b) {
+      const float* ch = masked.storage().data() +
+                        (static_cast<std::size_t>(b) * c.cout + pruned) * plane;
+      for (int p = 0; p < plane; ++p) EXPECT_EQ(ch[p], 0.0f) << "sample " << b << " p=" << p;
+    }
   }
+
+  // ho·wo > kGemmNC exceeds the int8 kernel's single-pass column limit, so
+  // the scan falls back to the fp32 conv bit for bit.
+  const auto x = tensor::Tensor::randn(tensor::Shape{2, 2, 48, 48}, rng);
+  const auto wt = tensor::Tensor::randn(tensor::Shape{4, 2, 3, 3}, rng, 0.0f, 0.3f);
+  const auto bias = tensor::Tensor::randn(tensor::Shape{4}, rng, 0.0f, 0.1f);
+  const tensor::Conv2dSpec spec{1, 1};
+  ASSERT_GT(48 * 48, tensor::kGemmNC);
+  const auto ref = tensor::conv2d_forward(x, wt, bias, spec, nullptr, true);
+  const auto got = tensor::conv2d_forward_quant(x, wt, bias, spec, ComputeKernel::kInt8, true);
+  EXPECT_EQ(got.shape(), ref.shape());
+  EXPECT_EQ(got.storage(), ref.storage());
 }
 
 // ---------------------------------------------------------------------------
@@ -346,21 +364,13 @@ TEST(GemmEpilogueTest, QuantizedDriversApplyEpilogue) {
   const auto pa = tensor::pack_a_int8(a.data(), k, m, k, true);
   std::vector<float> q8(ref.size());
   tensor::gemm_s8(pa, n, b.data(), n, q8.data(), n, false, epi);
-  std::vector<std::uint16_t> ah(a.size()), bh(b.size());
-  tensor::f32_to_f16_n(a.data(), a.size(), ah.data());
-  tensor::f32_to_f16_n(b.data(), b.size(), bh.data());
-  std::vector<float> h16(ref.size());
-  tensor::gemm_f16(m, n, k, ah.data(), k, bh.data(), n, h16.data(), n, false, epi);
   // Quantization error scales with the accumulated magnitude, not the
   // (ReLU-clamped) per-element result, so bound it by the matrix max.
   float refmax = 0.0f;
   for (float v : ref) refmax = std::max(refmax, std::fabs(v));
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_NEAR(ref[i], q8[i], 0.03f * refmax) << i;
-    EXPECT_NEAR(ref[i], h16[i], 0.005f * refmax) << i;
-    // ReLU must clamp in every path.
-    EXPECT_GE(q8[i], 0.0f);
-    EXPECT_GE(h16[i], 0.0f);
+    EXPECT_GE(q8[i], 0.0f);  // ReLU must clamp
   }
 }
 
