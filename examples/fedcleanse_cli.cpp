@@ -9,6 +9,9 @@
 //                  --victim 9 --target 1 --pixels 5 --method mvp
 //   fedcleanse_cli --dataset objects --dba --attackers 4 --save model.fckp
 //   fedcleanse_cli --dataset fashion --no-finetune --rap
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -65,6 +68,19 @@ void usage(const char* argv0) {
       argv0);
 }
 
+// A whole decimal number (optional leading '-') that fits an int, or nullopt.
+std::optional<int> parse_int(const std::string& v) {
+  const std::size_t digits = v.rfind('-', 0) == 0 ? 1 : 0;
+  if (v.size() == digits ||
+      v.find_first_not_of("0123456789", digits) != std::string::npos) {
+    return std::nullopt;
+  }
+  errno = 0;
+  const long n = std::strtol(v.c_str(), nullptr, 10);
+  if (errno == ERANGE || n < INT_MIN || n > INT_MAX) return std::nullopt;
+  return static_cast<int>(n);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -96,6 +112,26 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto next_int = [&]() -> int {
+      const std::string v = next();
+      const auto n = parse_int(v);
+      if (!n) {
+        std::fprintf(stderr, "%s wants a whole decimal number, got '%s'\n", arg.c_str(),
+                     v.c_str());
+        std::exit(2);
+      }
+      return *n;
+    };
+    auto next_double = [&]() -> double {
+      const std::string v = next();
+      char* end = nullptr;
+      const double x = std::strtod(v.c_str(), &end);
+      if (v.empty() || *end != '\0' || !std::isfinite(x)) {
+        std::fprintf(stderr, "%s wants a decimal number, got '%s'\n", arg.c_str(), v.c_str());
+        std::exit(2);
+      }
+      return x;
+    };
     if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
@@ -116,17 +152,17 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--clients") {
-      cfg.n_clients = std::atoi(next());
+      cfg.n_clients = next_int();
     } else if (arg == "--attackers") {
-      cfg.n_attackers = std::atoi(next());
+      cfg.n_attackers = next_int();
     } else if (arg == "--rounds") {
-      cfg.rounds = std::atoi(next());
+      cfg.rounds = next_int();
     } else if (arg == "--labels") {
-      cfg.labels_per_client = std::atoi(next());
+      cfg.labels_per_client = next_int();
     } else if (arg == "--select") {
-      cfg.clients_per_round = std::atoi(next());
+      cfg.clients_per_round = next_int();
     } else if (arg == "--samples-per-client") {
-      cfg.samples_per_client = std::atoi(next());
+      cfg.samples_per_client = next_int();
     } else if (arg == "--residency") {
       const std::string v = next();
       if (v == "auto") {
@@ -140,13 +176,13 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--gamma") {
-      cfg.attack.gamma = std::atof(next());
+      cfg.attack.gamma = next_double();
     } else if (arg == "--victim") {
-      cfg.attack.victim_label = std::atoi(next());
+      cfg.attack.victim_label = next_int();
     } else if (arg == "--target") {
-      cfg.attack.attack_label = std::atoi(next());
+      cfg.attack.attack_label = next_int();
     } else if (arg == "--pixels") {
-      pixels = std::atoi(next());
+      pixels = next_int();
     } else if (arg == "--dba") {
       cfg.dba = true;
     } else if (arg == "--rap") {
@@ -154,7 +190,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--mvp") {
       dcfg.method = defense::PruneMethod::kMVP;
     } else if (arg == "--prune-rate") {
-      dcfg.vote_prune_rate = std::atof(next());
+      dcfg.vote_prune_rate = next_double();
     } else if (arg == "--no-finetune") {
       dcfg.enable_finetune = false;
     } else if (arg == "--no-aw") {
@@ -178,13 +214,18 @@ int main(int argc, char** argv) {
     } else if (arg == "--save") {
       save_path = next();
     } else if (arg == "--seed") {
-      cfg.seed = std::strtoull(next(), nullptr, 10);
+      const std::string v = next();
+      if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos) {
+        std::fprintf(stderr, "--seed wants a whole decimal number, got '%s'\n", v.c_str());
+        return 2;
+      }
+      cfg.seed = std::strtoull(v.c_str(), nullptr, 10);
     } else if (arg == "--journal-out") {
       journal_path = next();
     } else if (arg == "--checkpoint-dir") {
       checkpoint_dir = next();
     } else if (arg == "--checkpoint-every") {
-      checkpoint_every = std::atoi(next());
+      checkpoint_every = next_int();
     } else if (arg == "--resume") {
       resume = true;
     } else if (arg == "--trace-out") {
@@ -222,7 +263,14 @@ int main(int argc, char** argv) {
 
   std::printf("training: %d clients (%d malicious), %d rounds, %d-label non-IID\n",
               cfg.n_clients, cfg.n_attackers, cfg.rounds, cfg.labels_per_client);
-  fl::Simulation sim(cfg);
+  std::unique_ptr<fl::Simulation> owned_sim;
+  try {
+    owned_sim = std::make_unique<fl::Simulation>(cfg);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "invalid configuration: %s\n", e.what());
+    return 2;
+  }
+  fl::Simulation& sim = *owned_sim;
   std::unique_ptr<fl::CheckpointManager> manager;
   std::optional<fl::RunSnapshot> resumed;
   if (!checkpoint_dir.empty()) {

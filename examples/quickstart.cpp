@@ -31,14 +31,17 @@
 // and rerun with --resume added to continue from the newest snapshot — the
 // final model is byte-identical to the uninterrupted run.
 //
-// The seed is a bare decimal number; any other unrecognized argument, or a
-// flag missing its value, prints usage and exits 2.
+// The seed is a bare decimal number; any other unrecognized argument, a flag
+// missing its value, or a numeric flag whose value is not a whole decimal
+// number exits 2.
 //
 // --scan-quant int8 runs the defense's activation-profiling scans under the
 // int8 GEMM kernel (training math stays fp32). --update-codec
 // int8 quantizes client→server update payloads on the wire (~4x smaller
 // uplink); the server dequantizes before aggregation. EXPERIMENTS.md records
 // the measured TA/AA deltas for both knobs.
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -78,6 +81,15 @@ bool is_seed(const char* arg) {
   return true;
 }
 
+// A whole decimal number (optional leading '-') that fits an int, or nullopt.
+std::optional<int> parse_int(const char* v) {
+  if (!is_seed(*v == '-' ? v + 1 : v)) return std::nullopt;
+  errno = 0;
+  const long n = std::strtol(v, nullptr, 10);
+  if (errno == ERANGE || n < INT_MIN || n > INT_MAX) return std::nullopt;
+  return static_cast<int>(n);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -103,8 +115,17 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto next_int = [&]() -> int {
+      const char* v = next();
+      const auto n = parse_int(v);
+      if (!n) {
+        std::fprintf(stderr, "%s wants a whole decimal number, got '%s'\n", arg, v);
+        std::exit(2);
+      }
+      return *n;
+    };
     if (std::strcmp(arg, "--clients") == 0) {
-      clients = std::atoi(next());
+      clients = next_int();
     } else if (std::strcmp(arg, "--scan-quant") == 0) {
       const char* v = next();
       const auto kernel = tensor::parse_compute_kernel(v);
@@ -122,7 +143,7 @@ int main(int argc, char** argv) {
       }
       update_codec = *codec;
     } else if (std::strcmp(arg, "--select") == 0) {
-      select = std::atoi(next());
+      select = next_int();
     } else if (std::strcmp(arg, "--journal-out") == 0) {
       journal_path = next();
     } else if (std::strcmp(arg, "--trace-out") == 0) {
@@ -131,7 +152,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--checkpoint-dir") == 0) {
       checkpoint_dir = next();
     } else if (std::strcmp(arg, "--checkpoint-every") == 0) {
-      checkpoint_every = std::atoi(next());
+      checkpoint_every = next_int();
     } else if (std::strcmp(arg, "--resume") == 0) {
       resume = true;
     } else if (std::strcmp(arg, "--save") == 0) {

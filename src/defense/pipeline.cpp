@@ -1,7 +1,7 @@
 #include "defense/pipeline.h"
 
 #include <algorithm>
-#include <numeric>
+#include <optional>
 
 #include "common/logging.h"
 #include "common/sysinfo.h"
@@ -48,20 +48,26 @@ std::function<double()> make_accuracy_oracle(fl::Simulation& sim,
   }
   return [&sim, round = round_tag::kAccuracyBase]() mutable {
     const auto clients = sim.protocol_client_ids();
-    auto ex = fl::exchange_with_retries<double>(
+    std::vector<std::optional<double>> reported(clients.size());
+    auto ex = fl::exchange_streaming<double>(
         sim, clients,
         [&](const std::vector<int>& ids) { sim.server().request_accuracies(ids, round); },
         [&](const std::vector<int>& ids, fl::CollectStats* cs) {
           return sim.server().collect_accuracies(ids, round, cs);
         },
+        [&reported](std::size_t position, double&& acc) { reported[position] = acc; },
         "accuracy oracle");
     ++round;
     if (!ex.stats.quorum_met) {
       throw QuorumError("accuracy oracle: " + std::to_string(ex.stats.n_valid) + "/" +
                         std::to_string(clients.size()) + " clients reported");
     }
-    return std::accumulate(ex.values.begin(), ex.values.end(), 0.0) /
-           static_cast<double>(ex.values.size());
+    // Summed in position order, whatever order the replies arrived in.
+    double sum = 0.0;
+    for (const auto& acc : reported) {
+      if (acc.has_value()) sum += *acc;
+    }
+    return sum / static_cast<double>(ex.clients.size());
   };
 }
 

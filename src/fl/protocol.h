@@ -2,9 +2,10 @@
 // retransmission and a quorum gate (FaultConfig::min_collect_fraction).
 //
 // One template serves every phase of the round protocol — training updates,
-// RAP ranks, MVP votes, accuracy reports. On a perfect wire it performs
-// exactly one attempt with every client replying, so the fault-free path is
-// byte-identical to the pre-fault-layer protocol.
+// RAP ranks, MVP votes, accuracy reports — and streams each valid reply to
+// the caller's sink instead of buffering the cohort's replies. On a perfect
+// wire it performs exactly one attempt with every client replying, so the
+// fault-free path is byte-identical to the pre-fault-layer protocol.
 #pragma once
 
 #include <algorithm>
@@ -61,20 +62,19 @@ inline int synchronize_round(Simulation& sim, const std::vector<int>& clients) {
 
 // ExchangeStats itself lives in fl/simulation.h (RoundRecord embeds its
 // fields and Simulation caches the last round's copy).
-template <typename T>
+// The exchange hands every reply to its sink, so the result carries only who
+// reported and what the protocol observed.
 struct Exchange {
-  std::vector<int> clients;  // clients with a valid report, in id order
-  std::vector<T> values;     // aligned with `clients`
+  std::vector<int> clients;  // clients with a valid report, in position order
   ExchangeStats stats;
 };
 
-// Streaming exchange: identical retry/backoff/quorum mechanics, but every
-// valid reply is handed to `sink(position, T&&)` the moment it clears the
-// collect phase instead of being buffered — the returned Exchange carries
-// the reporting clients and stats only, `values` stays empty. `position` is
-// the reply's index into `clients`; a position is sunk at most once. Used by
-// the O(model) aggregation paths (fl::StreamingAggregator, the defense's
-// streaming rank/vote histograms).
+// The one exchange driver: every valid reply is handed to
+// `sink(position, T&&)` the moment it clears the collect phase — nothing is
+// buffered here. `position` is the reply's index into `clients`; a position
+// is sunk at most once. Each consumer folds replies into its own aggregate:
+// fl::StreamingAggregator for training updates, the defense's streaming
+// rank/vote histograms, and the accuracy oracle's per-position slots.
 //
 // `request(ids)` re-sends the phase's request to the given clients;
 // `collect(ids, &stats)` returns one std::optional<T> per id. The recv
@@ -83,9 +83,9 @@ struct Exchange {
 // afterwards. Does NOT throw below quorum — the caller decides
 // whether a thin round is skippable (training) or fatal (defense).
 template <typename T, typename RequestFn, typename CollectFn, typename SinkFn>
-Exchange<T> exchange_streaming(Simulation& sim, const std::vector<int>& clients,
-                               RequestFn request, CollectFn collect, SinkFn sink,
-                               const char* what) {
+Exchange exchange_streaming(Simulation& sim, const std::vector<int>& clients,
+                            RequestFn request, CollectFn collect, SinkFn sink,
+                            const char* what) {
   const comm::FaultConfig& fc = sim.config().fault;
   // One correlation id covers the whole exchange, retries included: a late
   // reply from an earlier attempt still belongs to this exchange, and stamping
@@ -97,7 +97,7 @@ Exchange<T> exchange_streaming(Simulation& sim, const std::vector<int>& clients,
   obs::Span exchange_span(what, "protocol");
   exchange_span.set_arg("corr", correlation);
   FC_METRIC(exchange_rounds().inc());
-  Exchange<T> result;
+  Exchange result;
   result.stats.n_participants = static_cast<int>(clients.size());
 
   std::vector<char> have(clients.size(), 0);
@@ -161,25 +161,6 @@ Exchange<T> exchange_streaming(Simulation& sim, const std::vector<int>& clients,
     FC_LOG(Warn) << what << ": quorum not met — " << result.stats.n_valid << "/"
                  << clients.size() << " valid reports (need "
                  << quorum_count(clients.size(), fc.min_collect_fraction) << ")";
-  }
-  return result;
-}
-
-// Buffered exchange: the classic materialize-everything variant, expressed
-// over the streaming core with a buffering sink. `values` comes back aligned
-// with `clients` (position order), exactly as before the streaming refactor.
-template <typename T, typename RequestFn, typename CollectFn>
-Exchange<T> exchange_with_retries(Simulation& sim, const std::vector<int>& clients,
-                                  RequestFn request, CollectFn collect,
-                                  const char* what) {
-  std::vector<std::optional<T>> got(clients.size());
-  Exchange<T> result = exchange_streaming<T>(
-      sim, clients, request, collect,
-      [&got](std::size_t position, T&& value) { got[position] = std::move(value); },
-      what);
-  result.values.reserve(result.clients.size());
-  for (auto& slot : got) {
-    if (slot.has_value()) result.values.push_back(std::move(*slot));
   }
   return result;
 }

@@ -135,31 +135,25 @@ std::vector<std::optional<std::vector<float>>> Server::collect_updates(
       config_.recv_timeout_ms, stats, comm::MessageType::kModelUpdateQuantized);
 }
 
-namespace {
-void apply_delta(Server& server, const std::vector<float>& agg, double global_lr) {
-  auto current = server.params();
-  const float lr = static_cast<float>(global_lr);
-  for (std::size_t i = 0; i < current.size(); ++i) current[i] += lr * agg[i];
-  server.set_params(current);
-}
-}  // namespace
-
-void Server::apply_aggregate(const std::vector<std::vector<float>>& updates) {
-  apply_delta(*this, aggregate(config_.aggregator, updates, config_.byzantine_hint),
-              config_.global_lr);
+StreamingAggregator Server::round_aggregator(std::size_t n_participants) const {
+  return StreamingAggregator(
+      StreamingAggregator::mode_for(config_.aggregator, config_.use_reputation),
+      n_participants);
 }
 
-void Server::apply_update(const std::vector<float>& aggregated) {
-  apply_delta(*this, aggregated, config_.global_lr);
-}
-
-void Server::apply_aggregate(const std::vector<int>& client_ids,
-                             const std::vector<std::vector<float>>& updates) {
-  if (reputation_ == nullptr) {
-    apply_aggregate(updates);
-    return;
+void Server::apply_round(StreamingAggregator& agg, const std::vector<int>& clients) {
+  std::vector<float> delta;
+  if (agg.mode() == StreamingAggregator::Mode::kFold) {
+    delta = agg.finalize_mean();
+  } else if (reputation_ != nullptr) {
+    delta = reputation_->aggregate(clients, agg.finalize_retained());
+  } else {
+    delta = aggregate(config_.aggregator, agg.finalize_retained(), config_.byzantine_hint);
   }
-  apply_delta(*this, reputation_->aggregate(client_ids, updates), config_.global_lr);
+  auto current = params();
+  const float lr = static_cast<float>(config_.global_lr);
+  for (std::size_t i = 0; i < current.size(); ++i) current[i] += lr * delta[i];
+  set_params(current);
 }
 
 void Server::request_ranks(const std::vector<int>& clients, std::uint32_t round) {

@@ -18,6 +18,7 @@
 #include "data/dataset.h"
 #include "fl/aggregation.h"
 #include "fl/reputation.h"
+#include "fl/streaming.h"
 #include "nn/model_zoo.h"
 
 namespace fedcleanse::fl {
@@ -69,18 +70,14 @@ class Server {
   // client timed out or replied malformed.
   std::vector<std::optional<std::vector<float>>> collect_updates(
       const std::vector<int>& clients, std::uint32_t round, CollectStats* stats = nullptr);
-  // ω_{t+1} = ω_t + η·aggregate(Δω) over whichever updates arrived.
-  void apply_aggregate(const std::vector<std::vector<float>>& updates);
-  // Apply an already-aggregated update (fl::StreamingAggregator's fold
-  // output): ω_{t+1} = ω_t + η·aggregated. Bit-identical to apply_aggregate
-  // over the same updates because the streaming fold replicates mean_update's
-  // accumulation order exactly.
-  void apply_update(const std::vector<float>& aggregated);
-  // Same, but with the sender ids — required for the reputation path, which
-  // tracks per-client scores. Falls back to the configured aggregator when
-  // reputation weighting is off.
-  void apply_aggregate(const std::vector<int>& client_ids,
-                       const std::vector<std::vector<float>>& updates);
+  // The sink for one round's updates: folds (plain FedAvg) or retains (robust
+  // rules, reputation weighting), as the configured aggregation rule needs.
+  StreamingAggregator round_aggregator(std::size_t n_participants) const;
+  // ω_{t+1} = ω_t + η·Δ, where Δ is the fold mean, the reputation-weighted
+  // aggregate, or aggregate(kind, ·) over whichever updates arrived.
+  // `clients` are the senders in position order (the reputation scores are
+  // per client).
+  void apply_round(StreamingAggregator& agg, const std::vector<int>& clients);
 
   // The reputation tracker, or nullptr when ServerConfig::use_reputation is
   // off.

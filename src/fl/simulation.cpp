@@ -10,7 +10,6 @@
 #include "fl/metrics.h"
 #include "fl/protocol.h"
 #include "fl/run_state.h"
-#include "fl/streaming.h"
 #include "obs/journal.h"
 #include "obs/trace.h"
 
@@ -374,27 +373,7 @@ std::vector<int> Simulation::run_round(std::uint32_t round,
   auto collect = [&](const std::vector<int>& ids, CollectStats* cs) {
     return server_->collect_updates(ids, round, cs);
   };
-  if (config_.buffered_aggregation) {
-    // Legacy buffer-everything reference path (kept for the streaming
-    // equivalence tests): O(cohort · model) memory.
-    auto ex = exchange_with_retries<std::vector<float>>(*this, participants, request,
-                                                        collect, "training round");
-    last_round_stats_ = ex.stats;
-    if (ex.stats.quorum_met) {
-      server_->apply_aggregate(ex.clients, ex.values);
-    } else {
-      // Degraded round: too few valid updates to trust an aggregate. Keep the
-      // current global model and move on — training rounds are skippable.
-      FC_LOG(Warn) << "round " << round << ": aggregation skipped ("
-                   << ex.stats.n_valid << "/" << participants.size()
-                   << " valid updates)";
-    }
-    return participants;
-  }
-
-  StreamingAggregator agg(
-      StreamingAggregator::mode_for(config_.server.aggregator, config_.server.use_reputation),
-      participants.size());
+  StreamingAggregator agg = server_->round_aggregator(participants.size());
   auto ex = exchange_streaming<std::vector<float>>(
       *this, participants, request, collect,
       [&agg](std::size_t position, std::vector<float>&& update) {
@@ -403,12 +382,10 @@ std::vector<int> Simulation::run_round(std::uint32_t round,
       "training round");
   last_round_stats_ = ex.stats;
   if (ex.stats.quorum_met) {
-    if (agg.mode() == StreamingAggregator::Mode::kFold) {
-      server_->apply_update(agg.finalize_mean());
-    } else {
-      server_->apply_aggregate(ex.clients, agg.finalize_retained());
-    }
+    server_->apply_round(agg, ex.clients);
   } else {
+    // Degraded round: too few valid updates to trust an aggregate. Keep the
+    // current global model and move on — training rounds are skippable.
     FC_LOG(Warn) << "round " << round << ": aggregation skipped ("
                  << ex.stats.n_valid << "/" << participants.size()
                  << " valid updates)";
@@ -547,13 +524,7 @@ void Simulation::restore_server_state(common::ByteReader& r) {
 void Simulation::save_state(common::ByteWriter& w) const {
   FC_REQUIRE(remote_net_ == nullptr,
              "run snapshots cover the in-process wire only, not a live transport");
-  w.write_i32(next_round_);
-  w.write_f64(training_seconds_);
-  common::write_rng_state(w, rng_.state());
-  write_exchange_stats(w, last_round_stats_);
-  w.write_u32(static_cast<std::uint32_t>(history_.size()));
-  for (const auto& rec : history_) write_round_record(w, rec);
-  server_->save_state(w);
+  save_server_state(w);
   w.write_u8(virtual_mode_ ? 1 : 0);
   if (!virtual_mode_) {
     w.write_u32(static_cast<std::uint32_t>(clients_.size()));
@@ -585,15 +556,7 @@ void Simulation::save_state(common::ByteWriter& w) const {
 void Simulation::restore_state(common::ByteReader& r) {
   FC_REQUIRE(remote_net_ == nullptr,
              "run snapshots cover the in-process wire only, not a live transport");
-  next_round_ = r.read_i32();
-  training_seconds_ = r.read_f64();
-  rng_.restore(common::read_rng_state(r));
-  last_round_stats_ = read_exchange_stats(r);
-  const std::uint32_t n_history = r.read_u32();
-  history_.clear();
-  history_.reserve(n_history);
-  for (std::uint32_t i = 0; i < n_history; ++i) history_.push_back(read_round_record(r));
-  server_->restore_state(r);
+  restore_server_state(r);
   const bool snapshot_virtual = r.read_u8() != 0;
   if (snapshot_virtual != virtual_mode_) {
     throw CheckpointError("snapshot and configuration disagree on client residency");

@@ -95,10 +95,6 @@ struct SimulationConfig {
   // for "all clients" in the defense protocol (pruning reports, mask
   // broadcast, accuracy oracle). Materialized mode always uses all clients.
   int defense_clients = 64;
-  // Aggregate round updates through the legacy buffer-everything path
-  // instead of fl::StreamingAggregator. The two are bit-identical (tested);
-  // the buffered path survives only as the equivalence-test reference.
-  bool buffered_aggregation = false;
   std::uint64_t seed = 42;
   // Worker threads for the per-client round work and the batch-parallel
   // tensor kernels. 0 = hardware concurrency; the FEDCLEANSE_THREADS
@@ -108,7 +104,7 @@ struct SimulationConfig {
 };
 
 // What one request→dispatch→collect exchange observed at the server, after
-// all retries (filled by fl/protocol.h's exchange_with_retries).
+// all retries (filled by fl/protocol.h's exchange_streaming).
 struct ExchangeStats {
   int n_participants = 0;
   int n_valid = 0;      // clients that produced a valid report (possibly late)
@@ -247,14 +243,14 @@ class Simulation {
   // Training rounds finished so far (== the next round index run() will run).
   int completed_rounds() const { return next_round_; }
 
-  // Serialize / restore everything that evolves after construction: round
-  // position, RNG stream, round history, exchange stats, server (model +
-  // reputation), the clients (every client when materialized; only the
-  // resident cohort + eviction ledger in virtual mode — the rest re-derive
-  // from the factory roots), and the network (queues, fault state). Must be
-  // called at a round boundary — no client tasks running, wire quiescent.
-  // restore_state expects a Simulation built from the *same* config and
-  // throws CheckpointError on any structural mismatch.
+  // Serialize / restore everything that evolves after construction: the
+  // server-scope state (save_server_state below), then the clients (every
+  // client when materialized; only the resident cohort + eviction ledger in
+  // virtual mode — the rest re-derive from the factory roots), and the
+  // network (queues, fault state). Must be called at a round boundary — no
+  // client tasks running, wire quiescent. restore_state expects a Simulation
+  // built from the *same* config and throws CheckpointError on any
+  // structural mismatch.
   void save_state(common::ByteWriter& w) const;
   void restore_state(common::ByteReader& r);
 

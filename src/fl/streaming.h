@@ -1,68 +1,39 @@
 // Streaming aggregation of training-round updates (DESIGN.md §14).
 //
-// The materialized path buffers every cohort update and then runs
-// mean_update(): O(cohort · model) memory. The streaming path folds each
-// update into a single O(model) accumulator the moment it clears the
-// exchange's checksum/quorum accounting — in the SAME order the materialized
-// path would have summed it, so the result is bit-identical float for float.
+// Every valid reply reaches the server through exchange_streaming's sink, and
+// StreamingAggregator is that sink for training rounds. Plain FedAvg folds
+// each update into one O(model) accumulator the moment it clears the
+// exchange's checksum/quorum accounting — in the SAME order mean_update()
+// would sum the compacted update list, so the result is bit-identical float
+// for float.
 //
-// Fold-order argument: mean_update() sums the compacted update list in
-// vector order, which is the participants' *position* order (the exchange
-// compacts by position, not arrival). StreamingMeanAccumulator therefore
-// keys every accepted update by its participant position, folds the
-// contiguous received prefix immediately, and parks out-of-order arrivals
-// (retry stragglers on a lossy wire) in a position-keyed reorder buffer that
-// finalize() drains in ascending position order. Folds thus always happen in
-// ascending position order — the materialized order — while the buffer stays
-// empty on a perfect wire (every reply arrives in position order within one
-// attempt), keeping the steady state O(model).
+// Fold-order argument: mean_update() sums in the participants' *position*
+// order (the order survivors compact to, not their arrival order). Every
+// accepted update is therefore keyed by its participant position. kFold folds
+// the contiguous received prefix immediately and parks out-of-order arrivals
+// (retry stragglers on a lossy wire) in a position-keyed map that
+// finalize_mean() drains in ascending position order. Folds thus always
+// happen in ascending position order, while the map stays empty on a perfect
+// wire (every reply arrives in position order within one attempt), keeping
+// the steady state O(model).
 #pragma once
 
 #include <cstddef>
 #include <map>
-#include <utility>
 #include <vector>
 
 #include "fl/aggregation.h"
 
 namespace fedcleanse::fl {
 
-// Position-ordered streaming mean over float update vectors. Bit-identical
-// to mean_update() applied to the same updates compacted in position order:
-// zero-initialized accumulator, += folds in ascending position, final scale
-// by 1.0f / float(n).
-class StreamingMeanAccumulator {
- public:
-  explicit StreamingMeanAccumulator(std::size_t n_positions);
-
-  // Accept the update from participant position `position` (at most once per
-  // position — the exchange retires a position after its first valid reply).
-  void accept(std::size_t position, std::vector<float> update);
-
-  std::size_t accepted() const { return n_accepted_; }
-  std::size_t buffered() const { return buffer_.size(); }
-
-  // Drain the reorder buffer and return the mean. Throws Error when no
-  // update was accepted (the caller's quorum gate normally prevents this).
-  std::vector<float> finalize();
-
- private:
-  void fold(const std::vector<float>& update);
-
-  std::size_t n_positions_;
-  std::size_t next_ = 0;  // positions < next_ have been folded or skipped
-  std::size_t n_accepted_ = 0;
-  std::vector<float> acc_;
-  std::map<std::size_t, std::vector<float>> buffer_;  // out-of-order arrivals
-};
-
-// Round-level aggregation policy. kFold streams every update into the
-// O(model) mean accumulator (valid whenever the configured rule is plain
+// Round-level aggregation over float update vectors. kFold streams every
+// update into the O(model) mean (valid whenever the configured rule is plain
 // FedAvg without reputation weighting — the only rule whose result is a
-// position-ordered sum). kRetain keeps the cohort's updates, compacted in
+// position-ordered sum). kRetain parks the cohort's updates, compacted in
 // position order at finalize, for the rules that need the full update set
 // (robust aggregators, reputation weighting): O(cohort · model), but the
-// cohort — not the population — bounds it.
+// cohort — not the population — bounds it. fl::Server::round_aggregator picks
+// the mode from the server's configured rule.
 class StreamingAggregator {
  public:
   enum class Mode { kFold, kRetain };
@@ -76,20 +47,31 @@ class StreamingAggregator {
 
   Mode mode() const { return mode_; }
   std::size_t accepted() const { return n_accepted_; }
+  // Updates parked and not yet folded (kFold: out-of-order arrivals; kRetain:
+  // every accepted update).
+  std::size_t buffered() const { return parked_.size(); }
 
+  // Accept the update from participant position `position` (at most once per
+  // position — the exchange retires a position after its first valid reply).
   void accept(std::size_t position, std::vector<float> update);
 
-  // kFold only: the streamed mean (== aggregate(kFedAvg, updates, ·)).
+  // kFold only: fold what is still parked, in ascending position order, and
+  // return the mean — bit-identical to mean_update() over the same updates
+  // compacted in position order. Throws Error when no update was accepted
+  // (the caller's quorum gate normally prevents this).
   std::vector<float> finalize_mean();
-  // kRetain only: the updates compacted in ascending position order —
-  // exactly the `values` the materialized exchange would have returned.
+  // kRetain only: the updates compacted in ascending position order.
   std::vector<std::vector<float>> finalize_retained();
 
  private:
+  void fold(const std::vector<float>& update);
+
   Mode mode_;
+  std::size_t n_positions_;
+  std::size_t next_ = 0;  // kFold: positions < next_ have been folded
   std::size_t n_accepted_ = 0;
-  StreamingMeanAccumulator mean_;
-  std::map<std::size_t, std::vector<float>> retained_;
+  std::vector<float> acc_;
+  std::map<std::size_t, std::vector<float>> parked_;
 };
 
 }  // namespace fedcleanse::fl

@@ -50,7 +50,7 @@ Counter& fault_delayed();
 Counter& fault_crashed();
 
 // --- round protocol ----------------------------------------------------------
-Counter& exchange_rounds();     // exchange_with_retries invocations
+Counter& exchange_rounds();     // exchange_streaming invocations
 Counter& exchange_retries();    // request retransmissions issued
 Counter& exchange_drops();      // clients with no valid report after retries
 Counter& exchange_corrupted();  // malformed/stale replies skipped

@@ -2,6 +2,7 @@
 // federation, plus the adaptive-attack staging helpers.
 #include <gtest/gtest.h>
 
+#include "comm/faulty_network.h"
 #include "defense/majority_vote.h"
 #include "defense/pipeline.h"
 #include "fl/adaptive_attack.h"
@@ -16,6 +17,16 @@ fl::SimulationConfig pipeline_config(std::uint64_t seed = 21) {
   auto cfg = testutil::tiny_sim_config(seed);
   cfg.rounds = 3;
   return cfg;
+}
+
+// The mean of the accuracies `reporters` would report for the server's
+// current model, asked directly instead of over the wire and summed in
+// reporter order.
+double mean_reported_accuracy(fl::Simulation& sim, const std::vector<int>& reporters) {
+  const auto params = sim.server().params();
+  double sum = 0.0;
+  for (int c : reporters) sum += sim.client(c).report_accuracy(params);
+  return sum / static_cast<double>(reporters.size());
 }
 
 }  // namespace
@@ -72,6 +83,60 @@ TEST(Pipeline, ClientAccuracyOracleWorks) {
   cfg.use_client_accuracy = true;  // server has no validation data
   cfg.finetune.max_rounds = 1;
   EXPECT_NO_THROW(run_defense(sim, cfg));
+}
+
+TEST(Pipeline, ClientAccuracyOracleIsMeanOfValidReports) {
+  // Pruning only: the final oracle reading is taken at the parameters the
+  // server ends with, so it can be recomputed afterwards.
+  DefenseConfig dcfg;
+  dcfg.use_client_accuracy = true;
+  dcfg.enable_finetune = false;
+  dcfg.enable_adjust_weights = false;
+
+  {
+    fl::Simulation sim(pipeline_config(28));
+    sim.run(false);
+    const auto report = run_defense(sim, dcfg);
+    EXPECT_DOUBLE_EQ(report.prune.final_accuracy,
+                     mean_reported_accuracy(sim, sim.all_client_ids()));
+  }
+
+  // Lossy wire: one straggler whose every reply is delayed — a delayed reply
+  // surfaces two dispatches later, so the straggler only ever reports on the
+  // second retry — and one other client that goes silent from the first
+  // accuracy request on (its round tag is 3000).
+  auto cfg = pipeline_config(28);
+  cfg.fault.straggler_fraction = 0.25;
+  cfg.fault.straggler_miss_rate = 1.0;
+  cfg.fault.max_request_retries = 2;
+  cfg.fault.recv_timeout_ms = 2;
+  int straggler = -1;
+  {
+    fl::Simulation probe(cfg);
+    for (int c = 0; c < cfg.n_clients; ++c) {
+      if (probe.faulty_network()->model().straggler(c)) straggler = c;
+    }
+  }
+  ASSERT_GE(straggler, 0);
+  const int silent = (straggler + 1) % cfg.n_clients;
+  cfg.fault.crash_schedule = {{silent, 3000}};
+  fl::Simulation sim(cfg);
+  ASSERT_TRUE(sim.faulty_network()->model().straggler(straggler));
+  sim.run(false);
+  const auto report = run_defense(sim, dcfg);
+
+  std::vector<int> reporters;
+  std::vector<int> first_try_reporters;
+  for (int c = 0; c < cfg.n_clients; ++c) {
+    if (c != silent) reporters.push_back(c);
+    if (c != silent && c != straggler) first_try_reporters.push_back(c);
+  }
+  const double expected = mean_reported_accuracy(sim, reporters);
+  EXPECT_DOUBLE_EQ(report.prune.final_accuracy, expected);
+  // The reading must tell both faults apart: dividing by every client asked,
+  // or losing the straggler's retried report, gives a different value.
+  EXPECT_GT(expected, 0.0);
+  EXPECT_NE(expected, mean_reported_accuracy(sim, first_try_reporters));
 }
 
 TEST(Pipeline, RapAndMvpBothProduceFullOrders) {

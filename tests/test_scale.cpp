@@ -1,9 +1,10 @@
 // Million-client scale machinery: streaming aggregation equivalence against
-// the materialized reference path, virtual-client determinism and residency
-// bounds, and the peak-RSS probe (DESIGN.md §14).
+// a buffered reference built here from the exchange's sink, virtual-client
+// determinism and residency bounds, and the peak-RSS probe (DESIGN.md §14).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include "common/serialize.h"
@@ -12,6 +13,8 @@
 #include "defense/pipeline.h"
 #include "defense/rank_aggregation.h"
 #include "fl/aggregation.h"
+#include "fl/protocol.h"
+#include "fl/reputation.h"
 #include "fl/simulation.h"
 #include "fl/streaming.h"
 #include "test_util.h"
@@ -42,23 +45,94 @@ SimulationConfig virtual_config(std::uint64_t seed = 51) {
   return cfg;
 }
 
-void expect_same_run(const SimulationConfig& base, int n_threads) {
-  auto streaming_cfg = base;
-  streaming_cfg.buffered_aggregation = false;
-  streaming_cfg.n_threads = n_threads;
-  auto buffered_cfg = base;
-  buffered_cfg.buffered_aggregation = true;
-  buffered_cfg.n_threads = n_threads;
+// The buffered reference for the streaming-equivalence tests: drives the
+// same round protocol as Simulation::run_round, but its sink buffers every
+// update, and the test aggregates the compacted list itself with
+// aggregate(kind, ·) — or a test-owned ReputationAggregator — before
+// applying ω += η·Δ through Server::set_params. Trains every client each
+// round (clients_per_round == 0), so no selection draw is involved.
+struct BufferedRun {
+  std::vector<float> params;
+  std::vector<ExchangeStats> rounds;
+  std::size_t total_bytes = 0;
+  std::vector<double> reputations;  // empty unless reputation weighting is on
+};
 
-  Simulation streaming(streaming_cfg);
-  Simulation buffered(buffered_cfg);
+BufferedRun buffered_reference(const SimulationConfig& cfg) {
+  EXPECT_EQ(cfg.clients_per_round, 0);
+  Simulation sim(cfg);
+  std::optional<ReputationAggregator> reputation;
+  if (cfg.server.use_reputation) {
+    reputation.emplace(cfg.n_clients, cfg.server.reputation_decay,
+                       cfg.server.reputation_penalty_threshold);
+  }
+  BufferedRun run;
+  const auto participants = sim.all_client_ids();
+  for (int r = 0; r < cfg.rounds; ++r) {
+    const auto round = static_cast<std::uint32_t>(r);
+    std::vector<std::optional<std::vector<float>>> got(participants.size());
+    auto ex = exchange_streaming<std::vector<float>>(
+        sim, participants,
+        [&](const std::vector<int>& ids) { sim.server().broadcast_model(ids, round); },
+        [&](const std::vector<int>& ids, CollectStats* cs) {
+          return sim.server().collect_updates(ids, round, cs);
+        },
+        [&got](std::size_t position, std::vector<float>&& update) {
+          got[position] = std::move(update);
+        },
+        "training round");
+    run.rounds.push_back(ex.stats);
+    if (!ex.stats.quorum_met) continue;
+    std::vector<std::vector<float>> updates;
+    for (auto& slot : got) {
+      if (slot.has_value()) updates.push_back(std::move(*slot));
+    }
+    const auto delta =
+        reputation.has_value()
+            ? reputation->aggregate(ex.clients, updates)
+            : aggregate(cfg.server.aggregator, updates, cfg.server.byzantine_hint);
+    auto params = sim.server().params();
+    const float lr = static_cast<float>(cfg.server.global_lr);
+    for (std::size_t i = 0; i < params.size(); ++i) params[i] += lr * delta[i];
+    sim.server().set_params(params);
+  }
+  run.params = sim.server().params();
+  run.total_bytes = sim.network().total_bytes();
+  if (reputation.has_value()) run.reputations = reputation->reputations();
+  return run;
+}
+
+// Runs `base` on the streaming production path at `n_threads` and compares it
+// with the buffered reference at the same thread count. Returns the reference
+// so callers can check what the wire actually did.
+BufferedRun expect_same_run(const SimulationConfig& base, int n_threads) {
+  auto cfg = base;
+  cfg.n_threads = n_threads;
+  Simulation streaming(cfg);
   streaming.run(true);
-  buffered.run(true);
-  EXPECT_EQ(streaming.server().params(), buffered.server().params())
+  const BufferedRun buffered = buffered_reference(cfg);
+
+  EXPECT_EQ(streaming.server().params(), buffered.params) << "threads=" << n_threads;
+  const auto& history = streaming.history();
+  EXPECT_EQ(history.size(), buffered.rounds.size()) << "threads=" << n_threads;
+  for (std::size_t r = 0; r < std::min(history.size(), buffered.rounds.size()); ++r) {
+    const ExchangeStats& want = buffered.rounds[r];
+    EXPECT_EQ(history[r].n_participants, want.n_participants) << "round " << r;
+    EXPECT_EQ(history[r].n_valid, want.n_valid) << "round " << r;
+    EXPECT_EQ(history[r].n_dropped, want.n_dropped) << "round " << r;
+    EXPECT_EQ(history[r].n_corrupted, want.n_corrupted) << "round " << r;
+    EXPECT_EQ(history[r].n_retried, want.n_retried) << "round " << r;
+    EXPECT_EQ(history[r].quorum_met, want.quorum_met) << "round " << r;
+  }
+  EXPECT_EQ(streaming.network().total_bytes(), buffered.total_bytes)
       << "threads=" << n_threads;
-  EXPECT_EQ(streaming.history(), buffered.history()) << "threads=" << n_threads;
-  EXPECT_EQ(streaming.network().total_bytes(), buffered.network().total_bytes())
-      << "threads=" << n_threads;
+  if (cfg.server.use_reputation) {
+    EXPECT_NE(streaming.server().reputation(), nullptr);
+    if (streaming.server().reputation() != nullptr) {
+      EXPECT_EQ(streaming.server().reputation()->reputations(), buffered.reputations);
+    }
+  }
+  return buffered;
 }
 
 }  // namespace
@@ -67,26 +141,27 @@ void expect_same_run(const SimulationConfig& base, int n_threads) {
 
 TEST(StreamingMean, MatchesMaterializedMeanInOrder) {
   const auto updates = random_updates(7, 129, 3);
-  StreamingMeanAccumulator acc(updates.size());
+  StreamingAggregator acc(StreamingAggregator::Mode::kFold, updates.size());
   for (std::size_t i = 0; i < updates.size(); ++i) acc.accept(i, updates[i]);
-  EXPECT_EQ(acc.buffered(), 0u);  // in-order arrivals never buffer
-  EXPECT_EQ(acc.finalize(), mean_update(updates));
+  EXPECT_EQ(acc.buffered(), 0u);  // in-order arrivals never park
+  EXPECT_EQ(acc.finalize_mean(), mean_update(updates));
 }
 
 TEST(StreamingMean, MatchesMaterializedMeanOutOfOrderWithGaps) {
   const auto updates = random_updates(5, 64, 4);
   // Positions 1 and 4 never report; survivors arrive out of order.
-  StreamingMeanAccumulator acc(updates.size());
+  StreamingAggregator acc(StreamingAggregator::Mode::kFold, updates.size());
   acc.accept(3, updates[3]);
   acc.accept(0, updates[0]);
   acc.accept(2, updates[2]);
-  // The materialized exchange compacts survivors in position order.
+  EXPECT_EQ(acc.buffered(), 2u);  // 2 and 3 wait behind the gap at 1
+  // The buffered reference compacts survivors in position order.
   const std::vector<std::vector<float>> compacted{updates[0], updates[2], updates[3]};
-  EXPECT_EQ(acc.finalize(), mean_update(compacted));
+  EXPECT_EQ(acc.finalize_mean(), mean_update(compacted));
 }
 
 TEST(StreamingMean, RejectsDuplicateAndOutOfRangePositions) {
-  StreamingMeanAccumulator acc(3);
+  StreamingAggregator acc(StreamingAggregator::Mode::kFold, 3);
   acc.accept(1, {1.0f});
   EXPECT_THROW(acc.accept(1, {2.0f}), Error);
   EXPECT_THROW(acc.accept(3, {2.0f}), Error);
@@ -167,23 +242,22 @@ TEST(StreamingEquivalence, HoldsOnLossyWire) {
   cfg.fault.dropout_rate = 0.15;
   cfg.fault.delay_rate = 0.10;
   cfg.fault.corrupt_rate = 0.05;
-  for (int threads : {1, 4}) expect_same_run(cfg, threads);
+  for (int threads : {1, 4}) {
+    const BufferedRun buffered = expect_same_run(cfg, threads);
+    // The wire must really have forced retries, or this proves nothing about
+    // out-of-order folds.
+    int retried = 0;
+    for (const auto& round : buffered.rounds) retried += round.n_retried;
+    EXPECT_GT(retried, 0) << "threads=" << threads;
+  }
 }
 
 TEST(StreamingEquivalence, ReputationWeightingMatches) {
   auto cfg = testutil::tiny_sim_config(63);
   cfg.rounds = 3;
   cfg.server.use_reputation = true;
-  auto buffered_cfg = cfg;
-  buffered_cfg.buffered_aggregation = true;
-  Simulation streaming(cfg);
-  Simulation buffered(buffered_cfg);
-  streaming.run(false);
-  buffered.run(false);
-  EXPECT_EQ(streaming.server().params(), buffered.server().params());
-  ASSERT_NE(streaming.server().reputation(), nullptr);
-  EXPECT_EQ(streaming.server().reputation()->reputations(),
-            buffered.server().reputation()->reputations());
+  const BufferedRun buffered = expect_same_run(cfg, 2);
+  EXPECT_EQ(buffered.reputations.size(), static_cast<std::size_t>(cfg.n_clients));
 }
 
 TEST(StreamingEquivalence, RobustAggregatorMatches) {
