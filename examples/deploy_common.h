@@ -21,6 +21,7 @@
 #include <memory>
 #include <string>
 
+#include "cli_numbers.h"
 #include "defense/pipeline.h"
 #include "fl/simulation.h"
 #include "obs/exporter.h"
@@ -86,48 +87,53 @@ inline bool parse_deploy_flag(int argc, char** argv, int& i, Options& opt) {
   const auto has_value = [&](const char* name) {
     return std::strcmp(argv[i], name) == 0 && i + 1 < argc;
   };
+  // The flag's value as a whole decimal number; anything else exits 2.
+  const auto int_value = [&] {
+    const char* flag = argv[i];
+    return cli::int_or_exit(flag, argv[++i]);
+  };
   if (has_value("--seed")) {
-    opt.seed = std::strtoull(argv[++i], nullptr, 10);
+    opt.seed = cli::u64_or_exit("--seed", argv[++i]);
   } else if (has_value("--clients")) {
-    opt.clients = std::atoi(argv[++i]);
+    opt.clients = int_value();
   } else if (has_value("--rounds")) {
-    opt.rounds = std::atoi(argv[++i]);
+    opt.rounds = int_value();
   } else if (has_value("--ft-rounds")) {
-    opt.ft_rounds = std::atoi(argv[++i]);
+    opt.ft_rounds = int_value();
   } else if (has_value("--samples-train")) {
-    opt.samples_train = std::atoi(argv[++i]);
+    opt.samples_train = int_value();
   } else if (has_value("--samples-test")) {
-    opt.samples_test = std::atoi(argv[++i]);
+    opt.samples_test = int_value();
   } else if (has_value("--scheduler-host")) {
     opt.scheduler_host = argv[++i];
   } else if (has_value("--scheduler-port")) {
-    opt.scheduler_port = std::atoi(argv[++i]);
+    opt.scheduler_port = int_value();
   } else if (has_value("--journal-out")) {
     opt.journal_path = argv[++i];
   } else if (has_value("--metrics-port")) {
-    opt.metrics_port = std::atoi(argv[++i]);
+    opt.metrics_port = int_value();
   } else if (has_value("--metrics-port-file")) {
     opt.metrics_port_file = argv[++i];
   } else if (has_value("--trace-out")) {
     opt.trace_path = argv[++i];
   } else if (has_value("--recv-timeout-ms")) {
-    opt.recv_timeout_ms = std::atoi(argv[++i]);
+    opt.recv_timeout_ms = int_value();
   } else if (has_value("--max-backoff-shift")) {
-    opt.max_backoff_shift = std::atoi(argv[++i]);
+    opt.max_backoff_shift = int_value();
   } else if (has_value("--connect-timeout-ms")) {
-    opt.transport.connect_timeout_ms = std::atoi(argv[++i]);
+    opt.transport.connect_timeout_ms = int_value();
   } else if (has_value("--accept-timeout-ms")) {
-    opt.transport.accept_timeout_ms = std::atoi(argv[++i]);
+    opt.transport.accept_timeout_ms = int_value();
   } else if (has_value("--max-connect-retries")) {
-    opt.transport.max_connect_retries = std::atoi(argv[++i]);
+    opt.transport.max_connect_retries = int_value();
   } else if (has_value("--backoff-base-ms")) {
-    opt.transport.backoff_base_ms = std::atoi(argv[++i]);
+    opt.transport.backoff_base_ms = int_value();
   } else if (has_value("--backoff-cap-ms")) {
-    opt.transport.backoff_cap_ms = std::atoi(argv[++i]);
+    opt.transport.backoff_cap_ms = int_value();
   } else if (has_value("--heartbeat-interval-ms")) {
-    opt.transport.heartbeat_interval_ms = std::atoi(argv[++i]);
+    opt.transport.heartbeat_interval_ms = int_value();
   } else if (has_value("--heartbeat-timeout-ms")) {
-    opt.transport.heartbeat_timeout_ms = std::atoi(argv[++i]);
+    opt.transport.heartbeat_timeout_ms = int_value();
   } else if (has_value("--scan-quant")) {
     const auto kernel = fedcleanse::tensor::parse_compute_kernel(argv[++i]);
     if (!kernel) {
@@ -145,7 +151,7 @@ inline bool parse_deploy_flag(int argc, char** argv, int& i, Options& opt) {
   } else if (has_value("--checkpoint-dir")) {
     opt.checkpoint_dir = argv[++i];
   } else if (has_value("--checkpoint-every")) {
-    opt.checkpoint_every = std::atoi(argv[++i]);
+    opt.checkpoint_every = int_value();
   } else if (std::strcmp(argv[i], "--resume") == 0) {
     opt.resume = true;
   } else {

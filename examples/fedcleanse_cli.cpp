@@ -9,8 +9,6 @@
 //                  --victim 9 --target 1 --pixels 5 --method mvp
 //   fedcleanse_cli --dataset objects --dba --attackers 4 --save model.fckp
 //   fedcleanse_cli --dataset fashion --no-finetune --rap
-#include <cerrno>
-#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -19,6 +17,7 @@
 #include <optional>
 #include <string>
 
+#include "cli_numbers.h"
 #include "common/logging.h"
 #include "defense/pipeline.h"
 #include "fl/run_state.h"
@@ -68,19 +67,6 @@ void usage(const char* argv0) {
       argv0);
 }
 
-// A whole decimal number (optional leading '-') that fits an int, or nullopt.
-std::optional<int> parse_int(const std::string& v) {
-  const std::size_t digits = v.rfind('-', 0) == 0 ? 1 : 0;
-  if (v.size() == digits ||
-      v.find_first_not_of("0123456789", digits) != std::string::npos) {
-    return std::nullopt;
-  }
-  errno = 0;
-  const long n = std::strtol(v.c_str(), nullptr, 10);
-  if (errno == ERANGE || n < INT_MIN || n > INT_MAX) return std::nullopt;
-  return static_cast<int>(n);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -112,16 +98,7 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    auto next_int = [&]() -> int {
-      const std::string v = next();
-      const auto n = parse_int(v);
-      if (!n) {
-        std::fprintf(stderr, "%s wants a whole decimal number, got '%s'\n", arg.c_str(),
-                     v.c_str());
-        std::exit(2);
-      }
-      return *n;
-    };
+    auto next_int = [&]() -> int { return cli::int_or_exit(arg.c_str(), next()); };
     auto next_double = [&]() -> double {
       const std::string v = next();
       char* end = nullptr;
@@ -214,12 +191,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--save") {
       save_path = next();
     } else if (arg == "--seed") {
-      const std::string v = next();
-      if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr, "--seed wants a whole decimal number, got '%s'\n", v.c_str());
-        return 2;
-      }
-      cfg.seed = std::strtoull(v.c_str(), nullptr, 10);
+      cfg.seed = cli::u64_or_exit("--seed", next());
     } else if (arg == "--journal-out") {
       journal_path = next();
     } else if (arg == "--checkpoint-dir") {

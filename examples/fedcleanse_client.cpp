@@ -54,9 +54,9 @@ int main(int argc, char** argv) {
   int wait_timeout_ms = 120000;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--id") == 0 && i + 1 < argc) {
-      id = std::atoi(argv[++i]);
+      id = cli::int_or_exit("--id", argv[++i]);
     } else if (std::strcmp(argv[i], "--wait-timeout-ms") == 0 && i + 1 < argc) {
-      wait_timeout_ms = std::atoi(argv[++i]);
+      wait_timeout_ms = cli::int_or_exit("--wait-timeout-ms", argv[++i]);
     } else if (deploy::parse_deploy_flag(argc, argv, i, opt)) {
       continue;
     } else {

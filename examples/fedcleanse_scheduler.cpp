@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   std::string registry_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-      port = std::atoi(argv[++i]);
+      port = cli::int_or_exit("--port", argv[++i]);
     } else if (std::strcmp(argv[i], "--port-file") == 0 && i + 1 < argc) {
       port_file = argv[++i];
     } else if (std::strcmp(argv[i], "--registry") == 0 && i + 1 < argc) {

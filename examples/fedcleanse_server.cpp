@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--save") == 0 && i + 1 < argc) {
       save_path = argv[++i];
     } else if (std::strcmp(argv[i], "--wait-timeout-ms") == 0 && i + 1 < argc) {
-      wait_timeout_ms = std::atoi(argv[++i]);
+      wait_timeout_ms = cli::int_or_exit("--wait-timeout-ms", argv[++i]);
     } else if (deploy::parse_deploy_flag(argc, argv, i, opt)) {
       continue;
     } else {

@@ -40,8 +40,6 @@
 // int8 quantizes client→server update payloads on the wire (~4x smaller
 // uplink); the server dequantizes before aggregation. EXPERIMENTS.md records
 // the measured TA/AA deltas for both knobs.
-#include <cerrno>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -49,6 +47,7 @@
 #include <optional>
 #include <string>
 
+#include "cli_numbers.h"
 #include "common/logging.h"
 #include "defense/pipeline.h"
 #include "fl/run_state.h"
@@ -71,23 +70,6 @@ void usage(const char* argv0) {
                "       [--checkpoint-dir DIR] [--checkpoint-every N] [--resume]\n"
                "       [--save model.fckp]\n",
                argv0);
-}
-
-bool is_seed(const char* arg) {
-  if (*arg == '\0') return false;
-  for (const char* c = arg; *c != '\0'; ++c) {
-    if (*c < '0' || *c > '9') return false;
-  }
-  return true;
-}
-
-// A whole decimal number (optional leading '-') that fits an int, or nullopt.
-std::optional<int> parse_int(const char* v) {
-  if (!is_seed(*v == '-' ? v + 1 : v)) return std::nullopt;
-  errno = 0;
-  const long n = std::strtol(v, nullptr, 10);
-  if (errno == ERANGE || n < INT_MIN || n > INT_MAX) return std::nullopt;
-  return static_cast<int>(n);
 }
 
 }  // namespace
@@ -115,15 +97,7 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    auto next_int = [&]() -> int {
-      const char* v = next();
-      const auto n = parse_int(v);
-      if (!n) {
-        std::fprintf(stderr, "%s wants a whole decimal number, got '%s'\n", arg, v);
-        std::exit(2);
-      }
-      return *n;
-    };
+    auto next_int = [&]() -> int { return cli::int_or_exit(arg, next()); };
     if (std::strcmp(arg, "--clients") == 0) {
       clients = next_int();
     } else if (std::strcmp(arg, "--scan-quant") == 0) {
@@ -157,8 +131,8 @@ int main(int argc, char** argv) {
       resume = true;
     } else if (std::strcmp(arg, "--save") == 0) {
       save_path = next();
-    } else if (is_seed(arg)) {
-      seed = std::strtoull(arg, nullptr, 10);
+    } else if (const auto bare_seed = cli::parse_u64(arg)) {
+      seed = *bare_seed;
     } else {
       std::fprintf(stderr, "unknown option %s\n", arg);
       usage(argv[0]);

@@ -104,7 +104,7 @@ auto decode_checked(const char* codec, const std::vector<std::uint8_t>& payload,
 }  // namespace
 
 std::uint64_t payload_checksum(const std::vector<std::uint8_t>& payload) {
-  return common::fnv1a(payload);
+  return common::xxh64(payload);
 }
 
 std::vector<std::uint8_t> encode_message(const Message& m) {

@@ -63,7 +63,7 @@ class EpochError : public DecodeError {
   explicit EpochError(const std::string& what) : DecodeError(what) {}
 };
 
-// FNV-1a 64 over the payload bytes — the wire integrity check. Flipped,
+// XXH64 over the payload bytes — the wire integrity check. Flipped,
 // truncated, or appended payload bytes (fault injection, or a torn read)
 // fail verification at the receiver instead of decoding into silent garbage.
 std::uint64_t payload_checksum(const std::vector<std::uint8_t>& payload);
@@ -83,7 +83,7 @@ inline constexpr std::size_t kMessageHeaderBytes = 1 + 4 + 4 + 4 + 8 + 4;
 // (control-plane beacons, pre-correlation traffic).
 std::uint32_t next_correlation_id();
 // The id the current exchange stamped (0 outside any exchange). Set/restored
-// RAII-style by ScopedCorrelation; read by the server's message factory.
+// RAII-style by ScopedCorrelation; read by Server::send_all.
 std::uint32_t current_correlation_id();
 
 class ScopedCorrelation {

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace fedcleanse {
 
@@ -59,10 +60,18 @@ class CheckpointError : public Error {
 };
 
 namespace detail {
+// __FILE__ holds wherever the build found the source; report the path from the
+// tree's src/ on, so a message reads the same whichever directory it was built in.
+inline const char* source_relative(const char* file) {
+  const std::string_view path(file);
+  const auto pos = path.rfind("/src/");
+  return pos == std::string_view::npos ? file : file + pos + 1;
+}
+
 [[noreturn]] inline void require_failed(const char* expr, const char* file, int line,
                                         const std::string& msg) {
   std::ostringstream os;
-  os << "FC_REQUIRE failed: (" << expr << ") at " << file << ":" << line;
+  os << "FC_REQUIRE failed: (" << expr << ") at " << source_relative(file) << ":" << line;
   if (!msg.empty()) os << " — " << msg;
   throw Error(os.str());
 }

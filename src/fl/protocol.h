@@ -90,7 +90,7 @@ Exchange exchange_streaming(Simulation& sim, const std::vector<int>& clients,
   // One correlation id covers the whole exchange, retries included: a late
   // reply from an earlier attempt still belongs to this exchange, and stamping
   // per attempt would make it look foreign in the merged trace. Requests read
-  // the ambient id via server_message(); replies echo it back.
+  // the ambient id via Server::send_all(); replies echo it back.
   const std::uint32_t correlation = comm::next_correlation_id();
   comm::ScopedCorrelation scoped_correlation(correlation);
   // `what` is a string literal at every call site, so it can name the span.

@@ -20,7 +20,10 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr std::uint32_t kMagic = 0x46435253;  // "FCRS"
-constexpr std::uint32_t kVersion = 5;  // v5: snapshot epoch for distributed failover
+// v5: snapshot epoch for distributed failover. v6: the header checksum and
+// the in-flight messages' stored checksums are XXH64 (FNV-1a before), so a v5
+// file is refused by version, not by a misleading checksum failure.
+constexpr std::uint32_t kVersion = 6;
 // magic + version + checksum + payload length prefix.
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 4;
 
@@ -119,7 +122,7 @@ std::vector<std::uint8_t> encode_run_snapshot(const RunSnapshot& snap) {
   common::ByteWriter w;
   w.write_u32(kMagic);
   w.write_u32(kVersion);
-  w.write_u64(common::fnv1a(payload.bytes()));
+  w.write_u64(common::xxh64(payload.bytes()));
   w.write_u8_vector(payload.take());
   return w.take();
 }
@@ -144,7 +147,7 @@ RunSnapshot decode_run_snapshot(const std::vector<std::uint8_t>& bytes) {
     throw CheckpointError(std::string("run snapshot truncated: ") + e.what());
   }
   if (!header.exhausted()) throw CheckpointError("run snapshot has trailing bytes");
-  if (common::fnv1a(payload) != stored) {
+  if (common::xxh64(payload) != stored) {
     throw CheckpointError("run snapshot payload fails its checksum");
   }
 

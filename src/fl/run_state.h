@@ -53,7 +53,7 @@ struct RunSnapshot {
 };
 
 // RunSnapshot ↔ bytes. The on-disk format is magic "FCRS" + version +
-// FNV-1a checksum over the payload; decode_run_snapshot throws
+// XXH64 checksum over the payload; decode_run_snapshot throws
 // CheckpointError on anything malformed (bad magic/version, failed checksum,
 // truncation, trailing bytes).
 std::vector<std::uint8_t> encode_run_snapshot(const RunSnapshot& snap);

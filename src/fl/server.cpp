@@ -10,18 +10,6 @@ namespace fedcleanse::fl {
 
 namespace {
 
-comm::Message server_message(comm::MessageType type, std::uint32_t round,
-                             std::vector<std::uint8_t> payload) {
-  comm::Message m;
-  m.type = type;
-  m.round = round;
-  m.sender = -1;
-  m.correlation = comm::current_correlation_id();
-  m.payload = std::move(payload);
-  m.stamp();
-  return m;
-}
-
 // Drain one client's channel until a valid reply of the expected type and
 // round appears or the deadline passes. Mistyped, stale, duplicate, and
 // undecodable messages are logged (with the client id and the type actually
@@ -107,11 +95,21 @@ Server::Server(nn::ModelSpec model, data::Dataset validation, comm::Network& net
   }
 }
 
+void Server::send_all(const std::vector<int>& clients, comm::MessageType type,
+                      std::uint32_t round, std::vector<std::uint8_t> payload) {
+  comm::Message m;
+  m.type = type;
+  m.round = round;
+  m.sender = -1;
+  m.correlation = comm::current_correlation_id();
+  m.payload = std::move(payload);
+  m.stamp();
+  for (int c : clients) net_.send_to_client(c, m);
+}
+
 void Server::broadcast_model(const std::vector<int>& clients, std::uint32_t round) {
-  const auto payload = comm::encode_flat_params(params());
-  for (int c : clients) {
-    net_.send_to_client(c, server_message(comm::MessageType::kModelBroadcast, round, payload));
-  }
+  auto payload = comm::encode_flat_params(params());
+  send_all(clients, comm::MessageType::kModelBroadcast, round, std::move(payload));
 }
 
 std::vector<std::optional<std::vector<float>>> Server::collect_updates(
@@ -157,10 +155,8 @@ void Server::apply_round(StreamingAggregator& agg, const std::vector<int>& clien
 }
 
 void Server::request_ranks(const std::vector<int>& clients, std::uint32_t round) {
-  const auto payload = comm::encode_flat_params(params());
-  for (int c : clients) {
-    net_.send_to_client(c, server_message(comm::MessageType::kRankRequest, round, payload));
-  }
+  auto payload = comm::encode_flat_params(params());
+  send_all(clients, comm::MessageType::kRankRequest, round, std::move(payload));
 }
 
 std::vector<std::optional<std::vector<std::uint32_t>>> Server::collect_ranks(
@@ -176,10 +172,7 @@ void Server::request_votes(const std::vector<int>& clients, double prune_rate,
   common::ByteWriter w;
   w.write_f64(prune_rate);
   w.write_f32_vector(params());
-  const auto payload = w.take();
-  for (int c : clients) {
-    net_.send_to_client(c, server_message(comm::MessageType::kVoteRequest, round, payload));
-  }
+  send_all(clients, comm::MessageType::kVoteRequest, round, w.take());
 }
 
 std::vector<std::optional<std::vector<std::uint8_t>>> Server::collect_votes(
@@ -191,26 +184,18 @@ std::vector<std::optional<std::vector<std::uint8_t>>> Server::collect_votes(
 }
 
 void Server::broadcast_masks(const std::vector<int>& clients, std::uint32_t round) {
-  const auto payload = comm::encode_masks(model_.net.prune_masks());
-  for (int c : clients) {
-    net_.send_to_client(c, server_message(comm::MessageType::kMaskBroadcast, round, payload));
-  }
+  send_all(clients, comm::MessageType::kMaskBroadcast, round,
+           comm::encode_masks(model_.net.prune_masks()));
 }
 
 void Server::broadcast_lr_scale(const std::vector<int>& clients, double factor,
                                 std::uint32_t round) {
-  const auto payload = comm::encode_lr_scale(factor);
-  for (int c : clients) {
-    net_.send_to_client(c, server_message(comm::MessageType::kLrScale, round, payload));
-  }
+  send_all(clients, comm::MessageType::kLrScale, round, comm::encode_lr_scale(factor));
 }
 
 void Server::request_accuracies(const std::vector<int>& clients, std::uint32_t round) {
-  const auto payload = comm::encode_flat_params(params());
-  for (int c : clients) {
-    net_.send_to_client(c,
-                        server_message(comm::MessageType::kAccuracyRequest, round, payload));
-  }
+  auto payload = comm::encode_flat_params(params());
+  send_all(clients, comm::MessageType::kAccuracyRequest, round, std::move(payload));
 }
 
 std::vector<std::optional<double>> Server::collect_accuracies(
@@ -233,11 +218,8 @@ void Server::broadcast_round_sync(const std::vector<int>& clients, std::uint32_t
   comm::RoundSync sync;
   sync.epoch = epoch;
   sync.next_round = next_round;
-  const auto payload = comm::encode_round_sync(sync);
-  const auto round = static_cast<std::uint32_t>(next_round);
-  for (int c : clients) {
-    net_.send_to_client(c, server_message(comm::MessageType::kRoundSync, round, payload));
-  }
+  send_all(clients, comm::MessageType::kRoundSync, static_cast<std::uint32_t>(next_round),
+           comm::encode_round_sync(sync));
 }
 
 std::vector<std::optional<comm::RoundSync>> Server::collect_round_sync_acks(

@@ -125,6 +125,14 @@ class Server {
   void restore_state(common::ByteReader& r);
 
  private:
+  // Build and stamp one server message, then send each client its own copy
+  // (so a faulty link corrupts one copy without touching the others). The
+  // payload is hashed once per broadcast, not once per client. Callers encode
+  // the payload into a local and move it in, so the flat parameter vector it
+  // was encoded from is freed before the per-client copies are made.
+  void send_all(const std::vector<int>& clients, comm::MessageType type,
+                std::uint32_t round, std::vector<std::uint8_t> payload);
+
   nn::ModelSpec model_;
   data::Dataset validation_;
   comm::Network& net_;

@@ -7,10 +7,11 @@ namespace fedcleanse::nn {
 
 namespace {
 constexpr std::uint32_t kMagic = 0x46434B50;  // "FCKP"
-// v2: the header carries an FNV-1a checksum over the payload, so truncated
-// or bit-flipped checkpoint files fail loudly at the header instead of
-// surfacing as confusing shape errors deep inside deserialization.
-constexpr std::uint32_t kVersion = 2;
+// The header carries a checksum over the payload, so truncated or bit-flipped
+// checkpoint files fail loudly at the header instead of surfacing as
+// confusing shape errors deep inside deserialization. v2 used FNV-1a; v3
+// uses XXH64, so a v2 file is refused by version, not by a checksum mismatch.
+constexpr std::uint32_t kVersion = 3;
 // magic + version + checksum + payload length prefix.
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 4;
 }  // namespace
@@ -26,7 +27,7 @@ std::vector<std::uint8_t> save_model(const ModelSpec& spec) {
   common::ByteWriter w;
   w.write_u32(kMagic);
   w.write_u32(kVersion);
-  w.write_u64(common::fnv1a(payload.bytes()));
+  w.write_u64(common::xxh64(payload.bytes()));
   w.write_u8_vector(payload.take());
   return w.take();
 }
@@ -51,7 +52,7 @@ ModelSpec load_model(const std::vector<std::uint8_t>& bytes) {
     throw CheckpointError(std::string("model checkpoint truncated: ") + e.what());
   }
   if (!header.exhausted()) throw CheckpointError("model checkpoint has trailing bytes");
-  if (common::fnv1a(payload) != stored) {
+  if (common::xxh64(payload) != stored) {
     throw CheckpointError("model checkpoint payload fails its checksum");
   }
 

@@ -3,8 +3,8 @@
 //
 // The architecture is stored as a tag and rebuilt through the model zoo, so
 // a checkpoint is a few bytes of header plus the parameter payload — the
-// same wire format the FL layer uses. The header carries an FNV-1a checksum
-// over the payload (format v2): truncated or bit-flipped files throw
+// same wire format the FL layer uses. The header carries an XXH64 checksum
+// over the payload (format v3): truncated or bit-flipped files throw
 // CheckpointError at load time instead of failing deep inside deserialize.
 #pragma once
 

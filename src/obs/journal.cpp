@@ -131,7 +131,7 @@ std::uint64_t hash_argv(int argc, const char* const* argv) {
     }
     bytes.push_back(0);  // separator so {"-a","b"} and {"-ab"} hash apart
   }
-  return common::fnv1a(bytes);
+  return common::xxh64(bytes);
 }
 
 Journal::Journal(const std::string& path, bool append)

@@ -47,7 +47,7 @@ class JsonObject {
 std::string json_escape(const std::string& s);
 
 // Process identity stamped into every journal's first line as a
-// {"kind":"open"} record: pid, role ("server", "client-3", ...), an FNV-1a
+// {"kind":"open"} record: pid, role ("server", "client-3", ...), an XXH64
 // hash of argv (two journals from "the same" run with different flags stop
 // looking identical), the int8 kernel dispatch tier runtime CPU detection
 // picked, and the trace wall-clock anchor (so a journal can be aligned with
@@ -58,7 +58,7 @@ std::string json_escape(const std::string& s);
 void set_run_identity(std::string role, std::uint64_t argv_hash, std::string cpu_dispatch);
 bool run_identity_set();
 
-// FNV-1a over argv joined with '\0' separators — the hash set_run_identity
+// XXH64 over argv joined with '\0' separators — the hash set_run_identity
 // callers record.
 std::uint64_t hash_argv(int argc, const char* const* argv);
 

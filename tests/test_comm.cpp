@@ -210,6 +210,39 @@ TEST(Wire, ChecksumDetectsPayloadTampering) {
   EXPECT_THROW(decode_message(bytes), DecodeError);
 }
 
+// Every payload byte feeds the checksum, whichever part of the hash (32-byte
+// stripes, 8-byte words, the 4-byte word, single bytes) consumes it.
+TEST(Wire, ChecksumCoversEveryByteOfEveryLength) {
+  for (std::size_t len = 0; len <= 100; ++len) {
+    std::vector<std::uint8_t> payload(len);
+    for (std::size_t i = 0; i < len; ++i) payload[i] = static_cast<std::uint8_t>(i * 37 + len);
+    const Message m = make_msg(MessageType::kModelBroadcast, payload);
+    ASSERT_TRUE(m.checksum_ok()) << "length " << len;
+    for (std::size_t i = 0; i < len; ++i) {
+      Message flipped = m;
+      flipped.payload[i] ^= 0x01;
+      EXPECT_NE(payload_checksum(flipped.payload), m.checksum)
+          << "length " << len << ", byte " << i;
+      EXPECT_FALSE(flipped.checksum_ok()) << "length " << len << ", byte " << i;
+    }
+  }
+}
+
+// A failed precondition names its source location from src/ on, not by the
+// absolute path of the tree it happened to be built in.
+TEST(Require, LocationIsRelativeToTheSourceTree) {
+  try {
+    Network net(0);
+    FAIL() << "a network without clients was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(" at src/comm/network.cpp:"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_STREQ(detail::source_relative("/home/u/src/repo/src/fl/simulation.cpp"),
+               "src/fl/simulation.cpp");
+  EXPECT_STREQ(detail::source_relative("src/fl/simulation.cpp"), "src/fl/simulation.cpp");
+}
+
 TEST(Wire, ParseMessageTypeValidatesRange) {
   for (std::uint8_t raw = 1; raw <= 18; ++raw) {
     ASSERT_TRUE(parse_message_type(raw).has_value()) << int(raw);

@@ -114,6 +114,35 @@ TEST(Serialize, RemainingTracksPosition) {
   EXPECT_EQ(r.remaining(), 4u);
 }
 
+namespace {
+std::uint64_t xxh64_of(const std::string& s) {
+  return xxh64(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
+}
+}  // namespace
+
+// Reference xxHash64 values at seed 0. The 39-byte string runs one 32-byte
+// stripe, the 4-byte tail and three single bytes; "abc" only single bytes.
+TEST(Xxh64, KnownAnswers) {
+  EXPECT_EQ(xxh64_of(""), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(xxh64_of("a"), 0xD24EC4F1A98C6E5BULL);
+  EXPECT_EQ(xxh64_of("abc"), 0x44BC2CF5AD770999ULL);
+  EXPECT_EQ(xxh64_of("Nobody inspects the spammish repetition"), 0xFBCEA83C8A378BF1ULL);
+}
+
+// 79 bytes: two stripes, then an 8-byte word, a 4-byte word and three single
+// bytes, so it is the only case here that reaches the 8-byte-word path. The
+// value was cross-checked against a separate implementation of the spec that
+// reproduces the four reference values above.
+TEST(Xxh64, PinsEveryTailPath) {
+  const std::string s = "Nobody inspects the spammish repetition";
+  EXPECT_EQ(xxh64_of(s + " " + s), 0xD68CA10503C6F887ULL);
+}
+
+TEST(Xxh64, VectorOverloadHashesTheSameBytes) {
+  const std::string s = "Nobody inspects the spammish repetition";
+  EXPECT_EQ(xxh64(std::vector<std::uint8_t>(s.begin(), s.end())), xxh64_of(s));
+}
+
 // ---------------------------------------------------------------------------
 // Fuzz-style hardening of the comm payload codecs: every strict prefix of a
 // valid payload must throw DecodeError (never crash, hang, or allocate

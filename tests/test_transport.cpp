@@ -301,14 +301,15 @@ TEST(SchedulerTest, RegistrationAfterShutdownIsRejected) {
   // The server announces end-of-run...
   Socket raw = connect_to("127.0.0.1", scheduler.port(), 2000);
   send_frame(raw, tagged(MessageType::kShutdown, 0));
-  // ...after which a late registration must be nacked, not recorded:
-  // accepting it would strand a node waiting on a run that is already over.
+  // ...and the scheduler handles it. The registration below travels on a
+  // different connection, so without this wait it could land first.
+  scheduler.run_until_shutdown();
+  // A late registration must be nacked, not recorded: accepting it would
+  // strand a node waiting on a run that is already over.
   RegisterInfo info;
   info.role = NodeRole::kClient;
   info.node_id = 0;
-  ASSERT_TRUE(eventually([&] {
-    return !scheduler_register_once("127.0.0.1", scheduler.port(), info, c).accepted;
-  }));
+  EXPECT_FALSE(scheduler_register_once("127.0.0.1", scheduler.port(), info, c).accepted);
   EXPECT_EQ(scheduler.n_clients_seen(), 0);
 
   scheduler.stop();
