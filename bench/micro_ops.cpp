@@ -88,6 +88,43 @@ bench::MicroRecord conv_backward(common::ThreadPool& pool, int batch, int channe
   return rec;
 }
 
+// The weights-only backward a model's first conv runs in training
+// (Conv2d::backward_params): the same shapes as conv2d_backward without the
+// dL/dx GEMM and its col2im, so it shows what skipping the input gradient
+// saves. e2ebench's per-layer rows call Layer::backward and cannot.
+bench::MicroRecord conv_backward_params(common::ThreadPool& pool, int batch, int channels) {
+  common::Rng rng(1);
+  auto x = tensor::Tensor::randn({batch, 16, 10, 10}, rng);
+  auto w = tensor::Tensor::randn({channels, 16, 3, 3}, rng, 0.0f, 0.1f);
+  auto b = tensor::Tensor::zeros({channels});
+  tensor::Conv2dSpec spec{1, 1};
+  auto y = tensor::conv2d_forward(x, w, b, spec);
+  auto rec = bench::time_serial_vs_threaded(
+      "conv2d_backward_params", batch_size(batch, channels), pool,
+      [&] {
+        auto g = tensor::conv2d_backward(x, w, y, spec, nullptr, /*grad_input=*/false);
+        bench::do_not_optimize(g.grad_weight.data().data());
+      });
+  rec.kernel = "gemm_packed";
+  rec.flops_per_iter = conv_gemm_flops(batch, channels);  // gw GEMM only
+  return rec;
+}
+
+// The 2×2 stride-2 max-pool every zoo model runs after its first conv, at
+// MnistCnn's first-pool shape (20×20 planes). The kernel is serial, so both
+// columns time the same code.
+bench::MicroRecord maxpool_2x2(common::ThreadPool& pool, int batch, int channels) {
+  common::Rng rng(1);
+  auto x = tensor::Tensor::randn({batch, channels, 20, 20}, rng);
+  auto rec = bench::time_serial_vs_threaded(
+      "maxpool2d_2x2", batch_size(batch, channels), pool, [&] {
+        auto r = tensor::maxpool2d_forward(x, 2, 2);
+        bench::do_not_optimize(r.output.data().data());
+      });
+  rec.kernel = "branchless";
+  return rec;
+}
+
 bench::MicroRecord matmul(common::ThreadPool& pool, int n) {
   common::Rng rng(1);
   auto a = tensor::Tensor::randn({n, n}, rng);
@@ -179,6 +216,8 @@ int main() {
   records.push_back(conv_forward(pool, 8, 32));
   for (int channels : {16, 32}) records.push_back(conv_backward(pool, 32, channels));
   records.push_back(conv_backward(pool, 8, 32));
+  records.push_back(conv_backward_params(pool, 32, 16));
+  records.push_back(maxpool_2x2(pool, 32, 16));
   for (int n : {64, 256, 512}) records.push_back(matmul(pool, n));
 
   // Quantized kernels at conv-shaped GEMMs (m=cout, k=cin·kh·kw, n=ho·wo).
@@ -213,11 +252,11 @@ int main() {
     }));
   }
 
-  std::printf("%-16s %-10s %-13s %14s %14s %9s %9s   (%zu threads)\n", "op", "size",
+  std::printf("%-22s %-10s %-14s %14s %14s %9s %9s   (%zu threads)\n", "op", "size",
               "kernel", "serial ns/it", "pooled ns/it", "speedup", "GFLOP/s", threads);
-  bench::print_rule(96);
+  bench::print_rule(103);
   for (const auto& r : records) {
-    std::printf("%-16s %-10s %-13s %14.0f %14.0f %8.2fx ", r.op.c_str(), r.size.c_str(),
+    std::printf("%-22s %-10s %-14s %14.0f %14.0f %8.2fx ", r.op.c_str(), r.size.c_str(),
                 r.kernel.empty() ? "-" : r.kernel.c_str(), r.serial_ns, r.threaded_ns,
                 r.speedup());
     if (r.flops_per_iter > 0.0) {

@@ -134,4 +134,9 @@ void ambient_parallel_for(std::size_t n, const std::function<void(std::size_t)>&
   for (std::size_t i = 0; i < n; ++i) fn(i);
 }
 
+std::size_t ambient_workers() {
+  ThreadPool* pool = ambient_pool();
+  return pool != nullptr && !pool->on_worker_thread() ? pool->size() : 1;
+}
+
 }  // namespace fedcleanse::common

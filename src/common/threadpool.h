@@ -85,4 +85,8 @@ void set_ambient_pool(ThreadPool* pool);
 // to the serial run.
 void ambient_parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
+// How many workers ambient_parallel_for would spread a multi-index call over
+// from the calling thread: the ambient pool's size, or 1 when it runs inline.
+std::size_t ambient_workers();
+
 }  // namespace fedcleanse::common

@@ -22,8 +22,7 @@ tensor::Tensor& layer_weight(nn::Sequential& model, int layer_index) {
 
 struct LayerBounds {
   int layer_index;
-  float lo0, hi0;  // μ, σ pre-multiplied: bounds are μ ± Δ·σ
-  double mu, sigma;
+  double mu, sigma;  // bounds are μ ± Δ·σ
 };
 
 // Zero all weights outside [μ − Δσ, μ + Δσ]; returns how many changed from
@@ -55,7 +54,7 @@ std::vector<LayerBounds> compute_bounds(nn::Sequential& model,
     }
     FC_REQUIRE(!population.empty(), "layer has no non-zero weights");
     const auto [mu, sigma] = tensor::mean_stddev(population);
-    bounds.push_back(LayerBounds{li, 0.0f, 0.0f, mu, sigma});
+    bounds.push_back(LayerBounds{li, mu, sigma});
   }
   return bounds;
 }

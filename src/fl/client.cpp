@@ -98,10 +98,11 @@ void Client::train_locally() {
       // classifier head emits softmax probabilities directly — bit-identical
       // to the layer-by-layer forward + softmax_rows pipeline.
       loss.forward_probs(model_.net.forward_probs(batch.images), batch.labels);
-      model_.net.backward(loss.backward());
+      model_.net.backward_params(loss.backward());
       sgd.step();
     }
   }
+  model_.net.release_caches();
 }
 
 std::vector<float> Client::compute_update(std::span<const float> global_params) {
@@ -136,6 +137,7 @@ std::vector<double> Client::activation_means(std::span<const float> global_param
     model_.net.forward_with_tap(batch.images, model_.tap_index, tapped, config_.scan_kernel);
     acc.add_batch(tapped);
   }
+  model_.net.release_caches();
   return acc.means();
 }
 
@@ -166,6 +168,7 @@ std::vector<double> Client::backdoor_neuron_scores() {
   };
   auto on_poisoned = channel_means(poisoned);
   auto on_clean = channel_means(clean);
+  model_.net.release_caches();
   std::vector<double> scores(on_poisoned.size());
   for (std::size_t i = 0; i < scores.size(); ++i) scores[i] = on_poisoned[i] - on_clean[i];
   return scores;
@@ -220,6 +223,7 @@ std::vector<std::uint8_t> Client::vote_report(std::span<const float> global_para
 double Client::report_accuracy(std::span<const float> global_params) {
   model_.net.set_flat(global_params);
   const double acc = evaluate_accuracy(model_.net, data_, config_.batch_size);
+  model_.net.release_caches();
   if (attack_) {
     // An attacker reports an inflated accuracy so the server keeps pruning
     // past the point where the benign task degrades (or stops early) — it

@@ -13,6 +13,7 @@ class ReLU : public Layer {
   // output stands in for the cached input: gating grad on y = relu(x) instead
   // of x is bit-identical (x > 0 ⇔ y > 0, and both ±0 block the gradient).
   void adopt_output(const Tensor& y) { input_cache_ = y; }
+  void release_cache() override { input_cache_ = Tensor(); }
   std::unique_ptr<Layer> clone() const override { return std::make_unique<ReLU>(*this); }
   std::string name() const override { return "ReLU"; }
 

@@ -35,11 +35,16 @@ Tensor Conv2d::forward_conv(const Tensor& x, bool fuse_relu, tensor::ComputeKern
                                       any_pruned_ ? active_.data() : nullptr);
 }
 
-Tensor Conv2d::backward(const Tensor& grad_out) {
+Tensor Conv2d::backward(const Tensor& grad_out) { return run_backward(grad_out, true); }
+
+void Conv2d::backward_params(const Tensor& grad_out) { run_backward(grad_out, false); }
+
+Tensor Conv2d::run_backward(const Tensor& grad_out, bool grad_input) {
+  FC_REQUIRE(!input_cache_.empty(), "Conv2d backward without a cached forward");
   // The channel mask makes the kernel drop pruned channels from every
   // gradient product, so the incoming gradient needs no masking copy.
   auto grads = tensor::conv2d_backward(input_cache_, weight_, grad_out, spec_,
-                                       any_pruned_ ? active_.data() : nullptr);
+                                       any_pruned_ ? active_.data() : nullptr, grad_input);
   grad_weight_ += grads.grad_weight;
   grad_bias_ += grads.grad_bias;
   return std::move(grads.grad_input);

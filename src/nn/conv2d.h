@@ -21,6 +21,9 @@ class Conv2d : public Layer {
   // scan paths. forward(x) ≡ forward_conv(x, false, kF32).
   Tensor forward_conv(const Tensor& x, bool fuse_relu, tensor::ComputeKernel kernel);
   Tensor backward(const Tensor& grad_out) override;
+  // Weight and bias gradients only: the kernel skips dL/dx entirely.
+  void backward_params(const Tensor& grad_out) override;
+  void release_cache() override { input_cache_ = Tensor(); }
   std::vector<ParamRef> params() override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override { return "Conv2d"; }
@@ -42,6 +45,10 @@ class Conv2d : public Layer {
   std::vector<float> active_weights() const;
 
  private:
+  // Accumulate the parameter gradients of grad_out; returns dL/dx when
+  // grad_input is set, else an empty tensor.
+  Tensor run_backward(const Tensor& grad_out, bool grad_input);
+
   int in_channels_;
   int out_channels_;
   int kernel_;

@@ -31,6 +31,13 @@ class Layer {
   // Given dLoss/dOutput, accumulate parameter gradients and return
   // dLoss/dInput. Must be called after forward on the same input.
   virtual Tensor backward(const Tensor& grad_out) = 0;
+  // backward for a layer whose dLoss/dInput nobody reads (a model's first
+  // layer during training): accumulates the same parameter gradients and may
+  // skip the input gradient. The default runs backward and drops its result.
+  virtual void backward_params(const Tensor& grad_out) { (void)backward(grad_out); }
+  // Drop what forward cached for backward (inputs, argmaxes). A backward
+  // before the next forward then throws instead of reading stale data.
+  virtual void release_cache() {}
 
   virtual std::vector<ParamRef> params() { return {}; }
   virtual std::unique_ptr<Layer> clone() const = 0;

@@ -72,6 +72,8 @@ Tensor Linear::backward(const Tensor& grad_out) {
   // of grad_out, their rows are skipped in the GEMMs and the bias sum, which
   // leaves the same exact zeros without the copy.
   const int n = grad_out.shape()[0];
+  FC_REQUIRE(input_cache_.shape().rank() == 2 && input_cache_.shape()[0] == n,
+             "Linear backward without a matching cached forward");
   const auto gv = grad_out.data();
   // grad_weight += gradᵀ · x, accumulated in place (no temporary tensor).
   tensor::gemm(true, false, out_features_, in_features_, n, gv.data(), out_features_,

@@ -17,6 +17,7 @@ class Linear : public Layer {
   // head so logits never round-trip through memory.
   Tensor forward_softmax(const Tensor& x);
   Tensor backward(const Tensor& grad_out) override;
+  void release_cache() override { input_cache_ = Tensor(); }
   std::vector<ParamRef> params() override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override { return "Linear"; }

@@ -15,6 +15,7 @@ class MaxPool2d : public Layer {
 
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
+  void release_cache() override { std::vector<std::int64_t>().swap(argmax_); }
   std::unique_ptr<Layer> clone() const override {
     return std::make_unique<MaxPool2d>(*this);
   }

@@ -72,6 +72,17 @@ Tensor Sequential::backward(const Tensor& grad_out) {
   return cur;
 }
 
+void Sequential::backward_params(const Tensor& grad_out) {
+  if (layers_.empty()) return;
+  Tensor cur = grad_out;
+  for (std::size_t i = layers_.size() - 1; i > 0; --i) cur = layers_[i]->backward(cur);
+  layers_.front()->backward_params(cur);
+}
+
+void Sequential::release_caches() {
+  for (auto& layer : layers_) layer->release_cache();
+}
+
 void Sequential::zero_grad() {
   for (auto& layer : layers_) layer->zero_grad();
 }

@@ -48,6 +48,14 @@ class Sequential {
   Tensor forward_probs(const Tensor& x);
   // Backpropagate from dLoss/dOutput; returns dLoss/dInput.
   Tensor backward(const Tensor& grad_out);
+  // Backpropagate for the parameter gradients only: the same gradients as
+  // backward, but the first layer runs Layer::backward_params, so no
+  // dLoss/dInput is computed for the model's input. The training step uses
+  // it; input-gradient consumers (Neural Cleanse) keep backward.
+  void backward_params(const Tensor& grad_out);
+  // Free every layer's forward cache (Layer::release_cache), so a model
+  // that is done training or scanning holds only its parameters.
+  void release_caches();
 
   void zero_grad();
   std::vector<ParamRef> params();

@@ -259,8 +259,9 @@ void gemm(bool trans_a, bool trans_b, int m, int n, int k, const float* a, int l
   FC_REQUIRE((b.ho - 1) * b.stride + b.kh <= b.h && (b.wo - 1) * b.stride + b.kw <= b.w,
              "gemm conv patches must lie inside the image");
   // Entry (tap, pixel) of the patch matrix is image[tap_off + pix_off]: the
-  // tap's offset from a patch's top-left plus that corner's offset. Every
-  // patch lies inside the image, so the pack gathers with no bounds test.
+  // tap's offset from a patch's top-left plus that corner's offset within
+  // its sample's image. Every patch lies inside its image, so the pack
+  // gathers with no bounds test.
   Workspace& ws = Workspace::tls();
   const Workspace::Mark mark = ws.mark();
   int* tap_off = static_cast<int*>(ws.alloc_bytes(sizeof(int) * b.rows()));
@@ -270,8 +271,12 @@ void gemm(bool trans_a, bool trans_b, int m, int n, int k, const float* a, int l
       for (int kx = 0; kx < b.kw; ++kx) tap_off[r++] = (ic * b.h + ky) * b.w + kx;
     }
   }
-  for (int oy = 0, q = 0; oy < b.ho; ++oy) {
-    for (int ox = 0; ox < b.wo; ++ox) pix_off[q++] = (oy * b.w + ox) * b.stride;
+  for (int s = 0, q = 0; s < b.n; ++s) {
+    for (int oy = 0; oy < b.ho; ++oy) {
+      for (int ox = 0; ox < b.wo; ++ox) {
+        pix_off[q++] = s * b.cin * b.h * b.w + (oy * b.w + ox) * b.stride;
+      }
+    }
   }
   const BSource src{.image = b.image,
                     .depth_off = trans_b ? pix_off : tap_off,

@@ -80,21 +80,23 @@ void gemm(bool trans_a, bool trans_b, int m, int n, int k, const float* a, int l
           const float* b, int ldb, float* c, int ldc, bool accumulate,
           const GemmMask& mask = {}, const GemmEpilogue& epi = {});
 
-// Implicit im2col operand: the [cin·kh·kw, ho·wo] patch matrix of one NCHW
-// image, read straight from the image by the B pack and never materialized.
-// Row r = (ic, ky, kx) and column q = (oy, ox), both row-major; the entry is
-// image[ic][oy·stride + ky][ox·stride + kx]. Every patch must lie inside the
-// image, so the pack needs no bounds test: a zero-padded convolution passes
-// its input with the zero border already in place (tensor::conv2d_forward
-// stages one such copy per sample).
+// Implicit im2col operand: the [cin·kh·kw, n·ho·wo] patch matrix of n NCHW
+// [cin, h, w] images stored back to back, read straight from the images by
+// the B pack and never materialized. Row r = (ic, ky, kx) and column
+// q = (sample, oy, ox), both row-major; the entry is
+// image[((sample·cin + ic)·h + oy·stride + ky)·w + ox·stride + kx].
+// Every patch must lie inside its image, so the pack needs no bounds test: a
+// zero-padded convolution passes its input with the zero border already in
+// place (tensor::conv2d_forward stages one such copy per batch chunk).
 struct ConvPatches {
-  const float* image = nullptr;  // [cin, h, w]
+  const float* image = nullptr;  // n × [cin, h, w], back to back
   int cin = 0, h = 0, w = 0;
   int kh = 0, kw = 0;
   int stride = 1;
   int ho = 0, wo = 0;
+  int n = 1;
   int rows() const { return cin * kh * kw; }
-  int cols() const { return ho * wo; }
+  int cols() const { return n * ho * wo; }
 };
 
 // gemm with B taken from conv patches: op(B) is the patch matrix itself

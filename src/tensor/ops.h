@@ -25,10 +25,10 @@ struct Conv2dSpec {
 
 // input [N, Cin, H, W], weight [Cout, Cin, kh, kw], bias [Cout]
 // → output [N, Cout, Ho, Wo] with Ho = (H + 2p − kh)/s + 1.
-// Implicit GEMM: each sample's receptive fields are packed straight from the
-// input into the GEMM's B panels (tensor::ConvPatches), so no im2col buffer
-// is built; a padded conv only stages the sample inside its zero border, in
-// the thread's workspace arena. `channel_active` (optional, [Cout]) marks
+// Implicit GEMM: the batch runs in chunks of whole samples, one GEMM per
+// chunk whose B panels are packed straight from the input
+// (tensor::ConvPatches), so no im2col buffer is built; a padded conv only
+// stages the chunk inside its zero borders, in the thread's workspace arena. `channel_active` (optional, [Cout]) marks
 // pruned output channels: they are skipped in the packed GEMM and written as
 // exact zeros.
 // `fuse_relu` applies max(0, ·) inside the GEMM epilogue — bit-identical to
@@ -59,10 +59,13 @@ struct Conv2dGrads {
 // Reads the same input the forward saw: the weight gradient packs its
 // transposed patches from it. Pruned channels (`channel_active`) get
 // exact-zero grad_weight/grad_bias rows and drop out of the grad_input
-// contraction.
+// contraction. With grad_input == false the dL/dx GEMM and its col2im are
+// skipped and grad_input comes back empty; grad_weight and grad_bias are the
+// same bytes either way.
 Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& weight,
                             const Tensor& grad_output, const Conv2dSpec& spec,
-                            const std::uint8_t* channel_active = nullptr);
+                            const std::uint8_t* channel_active = nullptr,
+                            bool grad_input = true);
 
 struct MaxPoolResult {
   Tensor output;
@@ -70,7 +73,10 @@ struct MaxPoolResult {
   std::vector<std::int64_t> argmax;
 };
 
-// Non-overlapping (stride == kernel) and overlapping max pooling.
+// Non-overlapping (stride == kernel) and overlapping max pooling; 2×2
+// stride 2 takes a branch-free fast path with the same results. Each window
+// keeps its first maximum in (ky, kx) order and starts from its first tap,
+// so the argmax always lies inside the window and a NaN first tap survives.
 MaxPoolResult maxpool2d_forward(const Tensor& input, int kernel, int stride);
 Tensor maxpool2d_backward(const Shape& input_shape, const std::vector<std::int64_t>& argmax,
                           const Tensor& grad_output);

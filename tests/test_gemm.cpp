@@ -508,3 +508,102 @@ TEST(ImplicitGemmConv, PatchOperandMatchesDenseUnderKMask) {
     }
   }
 }
+
+TEST(ImplicitGemmConv, MultiSamplePatchesMatchPerSampleColumns) {
+  // A ConvPatches spanning n images is the per-sample patch matrices side by
+  // side: column (s, oy, ox) of the n-sample operand is column (oy, ox) of
+  // sample s. The images sit back to back with distinct values, so a read
+  // that strays into the neighbouring image would show. Both transposes,
+  // against the dense gemm over the concatenated im2col columns.
+  const int n = 3, cin = 2, h = 7, w = 6, k = 3, stride = 2, ho = 3, wo = 2;
+  const int image_floats = cin * h * w;
+  const int rows = cin * k * k, pdim = ho * wo, cols = n * pdim, m = 6;
+  common::Rng rng(23);
+  std::vector<float> images(static_cast<std::size_t>(n) * image_floats);
+  std::vector<float> col(static_cast<std::size_t>(rows) * cols);
+  std::vector<float> one(static_cast<std::size_t>(rows) * pdim);
+  for (int s = 0; s < n; ++s) {
+    float* image = images.data() + static_cast<std::size_t>(s) * image_floats;
+    for (int i = 0; i < image_floats; ++i) image[i] = static_cast<float>(rng.normal());
+    im2col_oracle(image, cin, h, w, k, stride, 0, ho, wo, one.data());
+    for (int r = 0; r < rows; ++r) {
+      std::copy_n(one.data() + static_cast<std::size_t>(r) * pdim, pdim,
+                  col.data() + static_cast<std::size_t>(r) * cols + s * pdim);
+    }
+  }
+  const tensor::ConvPatches patches{images.data(), cin, h, w, k, k, stride, ho, wo, n};
+  ASSERT_EQ(patches.cols(), cols);
+
+  for (bool trans_b : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "trans_b=" << trans_b);
+    const int depth = trans_b ? cols : rows, width = trans_b ? rows : cols;
+    auto a = random_matrix(m, depth, 24);
+    std::vector<float> want(static_cast<std::size_t>(m) * width), got(want.size());
+    tensor::gemm(false, trans_b, m, width, depth, a.data(), depth, col.data(), cols,
+                 want.data(), width, false);
+    tensor::gemm(false, trans_b, m, width, depth, a.data(), depth, patches, got.data(), width,
+                 false);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]), std::bit_cast<std::uint32_t>(want[i]))
+          << "element " << i;
+    }
+  }
+}
+
+TEST(ImplicitGemmConv, BatchChunkingKeepsEveryBitOfTheOracle) {
+  // The fp32 conv kernels run the batch in chunks of whole samples, sized by
+  // the operand budget and, under a pool, capped so every worker gets one.
+  // Batches 1, 3, 7 and 33 with no pool and a 4-worker pool give one chunk,
+  // ragged last chunks and one-sample chunks; none may move a bit of the
+  // per-sample oracle. The weights-only backward must match too.
+  for (int n : {1, 3, 7, 33}) {
+    for (int padding : {0, 1, 2}) {
+      for (int stride : {1, 2}) {
+        for (bool prune : {false, true}) {
+          const ConvCase c{n, 3, 10, 9, 8, 3, stride, padding, prune, stride == 1};
+          SCOPED_TRACE(testing::Message() << "n=" << n << " p=" << padding << " s=" << stride
+                                          << " prune=" << prune);
+          common::Rng rng(static_cast<std::uint64_t>(1000 * n + 10 * padding + stride));
+          auto x = tensor::Tensor::randn({c.n, c.cin, c.h, c.w}, rng);
+          auto wt = tensor::Tensor::randn({c.cout, c.cin, c.k, c.k}, rng, 0.0f, 0.3f);
+          auto bias = tensor::Tensor::randn({c.cout}, rng);
+          std::vector<std::uint8_t> active(static_cast<std::size_t>(c.cout), 1);
+          if (prune) {
+            const std::size_t per = static_cast<std::size_t>(c.cin) * c.k * c.k;
+            for (int oc : {2, 5}) {
+              active[static_cast<std::size_t>(oc)] = 0;
+              std::fill_n(&wt.data()[oc * per], per, 0.0f);
+              bias.data()[static_cast<std::size_t>(oc)] = 0.0f;
+            }
+          }
+          const std::uint8_t* mask = prune ? active.data() : nullptr;
+          const tensor::Conv2dSpec spec{c.stride, c.padding};
+          const int ho = (c.h + 2 * c.padding - c.k) / c.stride + 1;
+          const int wo = (c.w + 2 * c.padding - c.k) / c.stride + 1;
+          auto gy = tensor::Tensor::randn({c.n, c.cout, ho, wo}, rng);
+
+          ConvOracle want;
+          {
+            AmbientPoolGuard guard(nullptr);
+            want = conv_oracle(x, wt, bias, gy, c, mask);
+          }
+          for (int threads : {1, 4}) {
+            SCOPED_TRACE(testing::Message() << "threads=" << threads);
+            common::ThreadPool pool(static_cast<std::size_t>(threads));
+            AmbientPoolGuard guard(threads == 1 ? nullptr : &pool);
+            expect_bits_equal(tensor::conv2d_forward(x, wt, bias, spec, mask, c.relu), want.out,
+                              "output");
+            const auto grads = tensor::conv2d_backward(x, wt, gy, spec, mask);
+            expect_bits_equal(grads.grad_weight, want.grads.grad_weight, "grad_weight");
+            expect_bits_equal(grads.grad_bias, want.grads.grad_bias, "grad_bias");
+            expect_bits_equal(grads.grad_input, want.grads.grad_input, "grad_input");
+            const auto params = tensor::conv2d_backward(x, wt, gy, spec, mask, false);
+            EXPECT_TRUE(params.grad_input.empty());
+            expect_bits_equal(params.grad_weight, want.grads.grad_weight, "grad_weight (params)");
+            expect_bits_equal(params.grad_bias, want.grads.grad_bias, "grad_bias (params)");
+          }
+        }
+      }
+    }
+  }
+}

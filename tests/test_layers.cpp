@@ -239,6 +239,69 @@ INSTANTIATE_TEST_SUITE_P(AllArchitectures, ModelGradientTest,
                                            Architecture::kLargeNn),
                          [](const auto& info) { return arch_name(info.param); });
 
+// Sequential::backward_params skips dL/dx at the first layer only: every
+// parameter gradient must be the same bytes as the full backward's.
+class BackwardParamsTest : public ::testing::TestWithParam<Architecture> {};
+
+TEST_P(BackwardParamsTest, MatchesFullBackwardParameterGradients) {
+  Rng rng(8);
+  auto full = make_model(GetParam(), rng);
+  auto params_only = full.clone();
+  const auto& in = full.input_shape;
+  auto x = tensor::Tensor::rand_uniform(tensor::Shape{5, in[0], in[1], in[2]}, rng, 0.0f, 1.0f);
+  const std::vector<int> labels{1, 7, 0, 3, 9};
+  SoftmaxCrossEntropy loss_full, loss_params;
+  full.net.zero_grad();
+  loss_full.forward_probs(full.net.forward_probs(x), labels);
+  full.net.backward(loss_full.backward());
+  params_only.net.zero_grad();
+  loss_params.forward_probs(params_only.net.forward_probs(x), labels);
+  params_only.net.backward_params(loss_params.backward());
+
+  const auto want = full.net.params();
+  const auto got = params_only.net.params();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].grad->storage(), want[i].grad->storage()) << "parameter " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllArchitectures, BackwardParamsTest,
+                         ::testing::Values(Architecture::kMnistCnn,
+                                           Architecture::kFashionCnn,
+                                           Architecture::kVggSmall,
+                                           Architecture::kSmallNn,
+                                           Architecture::kLargeNn),
+                         [](const auto& info) { return arch_name(info.param); });
+
+TEST(Sequential, BackwardAfterReleaseCachesThrows) {
+  Rng rng(9);
+  auto spec = make_mnist_cnn(rng);
+  auto x = tensor::Tensor::rand_uniform(tensor::Shape{2, 1, 20, 20}, rng, 0.0f, 1.0f);
+  std::vector<tensor::Shape> out_shapes;
+  tensor::Tensor cur = x;
+  for (int i = 0; i < spec.net.size(); ++i) {
+    cur = spec.net.layer(i).forward(cur);
+    out_shapes.push_back(cur.shape());
+  }
+  const auto g = tensor::Tensor::ones(cur.shape());
+  spec.net.release_caches();
+  EXPECT_THROW(spec.net.backward(g), Error);
+  EXPECT_THROW(spec.net.backward_params(g), Error);
+  // Every caching layer refuses on its own, even given a gradient of the
+  // right shape (Flatten caches only its input shape, which stays valid).
+  for (int i = 0; i < spec.net.size(); ++i) {
+    auto& layer = spec.net.layer(i);
+    if (dynamic_cast<Flatten*>(&layer) != nullptr) continue;
+    EXPECT_THROW(layer.backward(tensor::Tensor::ones(out_shapes[static_cast<std::size_t>(i)])),
+                 Error)
+        << layer.name() << " at " << i;
+  }
+  // A fresh forward re-arms backward.
+  spec.net.forward(x);
+  EXPECT_NO_THROW(spec.net.backward(g));
+}
+
 // Gradient check with pruned units: masked channels must not perturb the
 // gradients of live ones.
 TEST(ModelGradient, HoldsUnderPruning) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <tuple>
 
 #include "common/rng.h"
@@ -201,6 +204,112 @@ TEST(MaxPool, OverlappingStride) {
   auto result = maxpool2d_forward(x, 2, 1);
   EXPECT_EQ(result.output.shape(), (Shape{1, 1, 2, 2}));
   EXPECT_EQ(result.output.storage(), (std::vector<float>{5, 6, 8, 9}));
+}
+
+namespace {
+
+// The generic window loop written out independently: first maximum in
+// (ky, kx) order, seeded with the window's first tap.
+MaxPoolResult maxpool_reference(const Tensor& x, int kernel, int stride) {
+  const int n = x.shape()[0], c = x.shape()[1], h = x.shape()[2], w = x.shape()[3];
+  const int ho = (h - kernel) / stride + 1, wo = (w - kernel) / stride + 1;
+  MaxPoolResult r{Tensor(Shape{n, c, ho, wo}), {}};
+  for (int b = 0; b < n; ++b) {
+    for (int ch = 0; ch < c; ++ch) {
+      for (int oy = 0; oy < ho; ++oy) {
+        for (int ox = 0; ox < wo; ++ox) {
+          auto flat = [&](int y, int xx) {
+            return ((static_cast<std::int64_t>(b) * c + ch) * h + y) * w + xx;
+          };
+          std::int64_t best = flat(oy * stride, ox * stride);
+          for (int ky = 0; ky < kernel; ++ky) {
+            for (int kx = 0; kx < kernel; ++kx) {
+              const std::int64_t i = flat(oy * stride + ky, ox * stride + kx);
+              if (x.data()[static_cast<std::size_t>(i)] >
+                  x.data()[static_cast<std::size_t>(best)]) {
+                best = i;
+              }
+            }
+          }
+          r.output.at(b, ch, oy, ox) = x.data()[static_cast<std::size_t>(best)];
+          r.argmax.push_back(best);
+        }
+      }
+    }
+  }
+  return r;
+}
+
+// Whether flat index idx of a [1, 1, h, w] input lies in window (oy, ox).
+bool in_window(std::int64_t idx, int w, int oy, int ox, int kernel, int stride) {
+  const int y = static_cast<int>(idx / w), xx = static_cast<int>(idx % w);
+  return y >= oy * stride && y < oy * stride + kernel && xx >= ox * stride &&
+         xx < ox * stride + kernel;
+}
+
+}  // namespace
+
+TEST(MaxPool, TwoByTwoPathMatchesGenericLoopBitExactly) {
+  // Small-integer data makes ties common; odd sizes leave a ragged last row
+  // and column that the pool drops.
+  Rng rng(31);
+  for (auto [h, w] : {std::pair{20, 20}, std::pair{7, 9}, std::pair{5, 2}, std::pair{2, 3}}) {
+    SCOPED_TRACE(testing::Message() << h << "x" << w);
+    Tensor x(Shape{3, 4, h, w});
+    for (auto& v : x.storage()) v = static_cast<float>(rng.int_range(0, 3)) - 1.0f;
+    x.storage()[1] = -0.0f;  // a signed-zero tie with the +0 entries
+    const auto got = maxpool2d_forward(x, 2, 2);
+    const auto want = maxpool_reference(x, 2, 2);
+    ASSERT_EQ(got.output.shape(), want.output.shape());
+    EXPECT_EQ(got.argmax, want.argmax);
+    for (std::size_t i = 0; i < got.output.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(got.output.data()[i]),
+                std::bit_cast<std::uint32_t>(want.output.data()[i]))
+          << "element " << i;
+    }
+  }
+}
+
+TEST(MaxPool, DegenerateWindowsKeepArgmaxInsideTheWindow) {
+  // An all-NaN or all-(−∞) window has no tap that beats −∞; the argmax must
+  // still name a tap of the window (backward writes there), and a NaN first
+  // tap must come out as NaN rather than hiding a diverged model. Runs the
+  // 2×2 fast path and the generic loop (3×3 windows).
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (int k : {2, 3}) {
+    SCOPED_TRACE(testing::Message() << "kernel " << k);
+    const int h = 2 * k, w = 2 * k;
+    Tensor x = Tensor::full(Shape{1, 1, h, w}, nan);  // window (0,0): all NaN
+    for (int y = 0; y < k; ++y) {
+      for (int xx = k; xx < w; ++xx) x.at(0, 0, y, xx) = -inf;  // (0,1): all −∞
+    }
+    for (int y = k; y < h; ++y) {
+      for (int xx = 0; xx < k; ++xx) x.at(0, 0, y, xx) = 1.0f;  // (1,0): NaN first
+    }
+    x.at(0, 0, k, 0) = nan;
+    for (int y = k; y < h; ++y) {
+      for (int xx = k; xx < w; ++xx) x.at(0, 0, y, xx) = 2.0f;  // (1,1): ordinary
+    }
+    const auto r = maxpool2d_forward(x, k, k);
+    ASSERT_EQ(r.argmax.size(), 4u);
+    for (int oy = 0; oy < 2; ++oy) {
+      for (int ox = 0; ox < 2; ++ox) {
+        EXPECT_TRUE(in_window(r.argmax[static_cast<std::size_t>(oy * 2 + ox)], w, oy, ox, k, k))
+            << "window (" << oy << "," << ox << ") argmax "
+            << r.argmax[static_cast<std::size_t>(oy * 2 + ox)];
+      }
+    }
+    EXPECT_TRUE(std::isnan(r.output.at(0, 0, 0, 0)));
+    EXPECT_EQ(r.output.at(0, 0, 0, 1), -inf);
+    EXPECT_TRUE(std::isnan(r.output.at(0, 0, 1, 0)));
+    EXPECT_EQ(r.output.at(0, 0, 1, 1), 2.0f);
+
+    const auto gx = maxpool2d_backward(x.shape(), r.argmax, Tensor::ones(r.output.shape()));
+    float total = 0.0f;
+    for (float g : gx.storage()) total += g;
+    EXPECT_EQ(total, 4.0f);  // every window routed its gradient to one in-bounds tap
+  }
 }
 
 TEST(Softmax, RowsSumToOne) {
