@@ -10,15 +10,18 @@
 // This is the view a researcher uses to verify that the backdoor hides in
 // dormant neurons and/or extreme weights — the two assumptions behind the
 // paper's defense.
+//
+// Usage: backdoor_inspection [rounds] [seed] [pixels]
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/logging.h"
 #include "fl/metrics.h"
 #include "fl/simulation.h"
 #include "nn/activation_stats.h"
 #include "nn/conv2d.h"
+#include "run_setup.h"
 
 using namespace fedcleanse;
 
@@ -43,13 +46,17 @@ std::vector<double> channel_means(nn::ModelSpec& model, const data::Dataset& ds)
 int main(int argc, char** argv) {
   common::init_log_level_from_env();
   fl::SimulationConfig cfg;
-  cfg.rounds = argc > 1 ? std::atoi(argv[1]) : 25;
-  cfg.attack.pattern = data::make_pixel_pattern(argc > 3 ? std::atoi(argv[3]) : 5);
+  cfg.rounds = 25;
+  int pixels = 5;
+  cli::parse(argc, argv,
+             {cli::integer("rounds", "", "training rounds", cfg.rounds),
+              cli::u64("seed", "", "RNG seed", cfg.seed),
+              cli::integer("pixels", "", "trigger pixel count, 1..9", pixels)});
+  cfg.attack.pattern = run::valid_or_exit([&] { return data::make_pixel_pattern(pixels); });
   cfg.attack.victim_label = 9;
   cfg.attack.attack_label = 1;
   cfg.attack.gamma = 5.0;
   cfg.attack.poison_copies = 2;
-  cfg.seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 42;
 
   fl::Simulation sim(cfg);
   sim.run(false);

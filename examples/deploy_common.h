@@ -4,10 +4,10 @@
 // Byte-identity across processes hinges on every node building the *same*
 // SimulationConfig: the server's Simulation and each client's replica must
 // make identical RNG draws (data → server model → validation → per-client
-// models/seeds). Both binaries therefore parse the same flags through
-// parse_deploy_flag and derive their config through make_simulation_config —
-// a flag passed to the server but not the clients is a silent divergence, so
-// the launch scripts pass one flag set to every node.
+// models/seeds). Every node therefore parses the same flag rows (flags())
+// and derives its config through make_simulation_config — a flag passed to
+// the server but not the clients is a silent divergence, so the launch
+// scripts pass one flag set to every node.
 //
 // The demo task is quickstart's (synthetic digits, 3-label non-IID, pixel
 // trigger 9→1 with model replacement) at a reduced scale that a single-core
@@ -16,22 +16,21 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 
-#include "cli_numbers.h"
+#include "cli.h"
 #include "defense/pipeline.h"
 #include "fl/simulation.h"
 #include "obs/exporter.h"
-#include "obs/journal.h"
-#include "obs/trace.h"
-#include "tensor/quant.h"
+#include "obs/registry.h"
+#include "run_setup.h"
 
 namespace deploy {
 
 struct Options {
+  Options() { run.checkpoint_every = 1; }
+
   std::uint64_t seed = 42;
   int clients = 5;
   int rounds = 3;
@@ -45,119 +44,62 @@ struct Options {
   int max_backoff_shift = 3;
   std::string scheduler_host = "127.0.0.1";
   int scheduler_port = 0;
-  std::string journal_path;
   // Observability plane (DESIGN.md §17). All default-off; none of them may
   // perturb model bytes or stdout when enabled.
-  int metrics_port = -1;       // -1 = no /metricsz listener; 0 = ephemeral port
-  std::string trace_path;      // Chrome trace written at process exit
-  std::string metrics_port_file;  // scheduler writes its chosen port here
+  int metrics_port = -1;          // -1 = no /metricsz listener; 0 = ephemeral port
+  std::string metrics_port_file;  // the node writes its chosen port here
   fedcleanse::comm::TransportConfig transport;
-  // Failover (DESIGN.md §18). The server keeps server-scope snapshots under
-  // <checkpoint_dir>/server, each client under <checkpoint_dir>/client-<id>;
-  // --resume restores the latest snapshot instead of starting fresh.
-  std::string checkpoint_dir;
-  int checkpoint_every = 1;
-  bool resume = false;
-  // Quantization knobs. Must match on every node: the server accepts both
-  // update codecs on the wire, but the in-process reference replica only
-  // stays byte-identical when the clients it mirrors use the same codec.
-  fedcleanse::tensor::ComputeKernel scan_kernel =
-      fedcleanse::tensor::ComputeKernel::kF32;
-  fedcleanse::comm::UpdateCodec update_codec = fedcleanse::comm::UpdateCodec::kF32;
+  // Journal, trace, quantization and failover flags (DESIGN.md §18). The
+  // server keeps server-scope snapshots under <checkpoint_dir>/server, each
+  // client under <checkpoint_dir>/client-<id>. The quantization knobs must
+  // match on every node: the server accepts both update codecs on the wire,
+  // but the in-process reference replica only stays byte-identical when the
+  // clients it mirrors use the same codec.
+  run::Options run;
 };
 
-// Every tunable the transport and retry layers expose, as flags shared by
-// server and client (ISSUE: nothing operational is a hardcoded cap).
-inline const char* deploy_flag_help() {
-  return "  --seed N --clients N --rounds N --ft-rounds N\n"
-         "  --samples-train N --samples-test N\n"
-         "  --scheduler-host H --scheduler-port P --journal-out PATH\n"
-         "  --metrics-port P (0=ephemeral) --metrics-port-file PATH --trace-out PATH\n"
-         "  --recv-timeout-ms N --max-backoff-shift N\n"
-         "  --connect-timeout-ms N --accept-timeout-ms N --max-connect-retries N\n"
-         "  --backoff-base-ms N --backoff-cap-ms N\n"
-         "  --heartbeat-interval-ms N --heartbeat-timeout-ms N\n"
-         "  --scan-quant f32|int8 --update-codec f32|int8\n"
-         "  --checkpoint-dir PATH --checkpoint-every N --resume\n";
+// The rows every node takes: nothing operational is a hardcoded cap.
+inline cli::Table flags(Options& opt) {
+  auto& t = opt.transport;
+  cli::Table rows = {
+      cli::u64("--seed", "N", "run seed, the same on every node", opt.seed),
+      cli::integer("--clients", "N", "number of clients", opt.clients),
+      cli::integer("--rounds", "N", "training rounds", opt.rounds),
+      cli::integer("--ft-rounds", "N", "fine-tuning rounds", opt.ft_rounds),
+      cli::integer("--samples-train", "N", "training samples per class", opt.samples_train),
+      cli::integer("--samples-test", "N", "test samples per class", opt.samples_test),
+      cli::text("--scheduler-host", "H", "scheduler address", opt.scheduler_host),
+      cli::integer("--scheduler-port", "P", "scheduler port", opt.scheduler_port),
+      cli::integer("--metrics-port", "P", "/metricsz listener; -1 = none, 0 = ephemeral",
+                   opt.metrics_port),
+      cli::text("--metrics-port-file", "PATH", "write the metrics port here",
+                opt.metrics_port_file),
+      cli::integer("--recv-timeout-ms", "N", "server's per-client collect deadline",
+                   opt.recv_timeout_ms),
+      cli::integer("--max-backoff-shift", "N", "retry deadline grows as base << min(try, N)",
+                   opt.max_backoff_shift),
+      cli::integer("--connect-timeout-ms", "N", "deadline of one connect attempt",
+                   t.connect_timeout_ms),
+      cli::integer("--accept-timeout-ms", "N", "poll granularity of accept loops",
+                   t.accept_timeout_ms),
+      cli::integer("--max-connect-retries", "N", "connect attempts before giving up",
+                   t.max_connect_retries),
+      cli::integer("--backoff-base-ms", "N", "first reconnect delay", t.backoff_base_ms),
+      cli::integer("--backoff-cap-ms", "N", "largest reconnect delay", t.backoff_cap_ms),
+      cli::integer("--heartbeat-interval-ms", "N", "liveness beacon period",
+                   t.heartbeat_interval_ms),
+      cli::integer("--heartbeat-timeout-ms", "N", "silence before a peer is dead",
+                   t.heartbeat_timeout_ms),
+  };
+  for (cli::Flag& f : run::flags(opt.run)) rows.push_back(std::move(f));
+  return rows;
 }
 
-// Try to consume argv[i] (and its value) as a shared deployment flag.
-// Advances i past the value on a match; returns false on an unknown flag.
-inline bool parse_deploy_flag(int argc, char** argv, int& i, Options& opt) {
-  const auto has_value = [&](const char* name) {
-    return std::strcmp(argv[i], name) == 0 && i + 1 < argc;
-  };
-  // The flag's value as a whole decimal number; anything else exits 2.
-  const auto int_value = [&] {
-    const char* flag = argv[i];
-    return cli::int_or_exit(flag, argv[++i]);
-  };
-  if (has_value("--seed")) {
-    opt.seed = cli::u64_or_exit("--seed", argv[++i]);
-  } else if (has_value("--clients")) {
-    opt.clients = int_value();
-  } else if (has_value("--rounds")) {
-    opt.rounds = int_value();
-  } else if (has_value("--ft-rounds")) {
-    opt.ft_rounds = int_value();
-  } else if (has_value("--samples-train")) {
-    opt.samples_train = int_value();
-  } else if (has_value("--samples-test")) {
-    opt.samples_test = int_value();
-  } else if (has_value("--scheduler-host")) {
-    opt.scheduler_host = argv[++i];
-  } else if (has_value("--scheduler-port")) {
-    opt.scheduler_port = int_value();
-  } else if (has_value("--journal-out")) {
-    opt.journal_path = argv[++i];
-  } else if (has_value("--metrics-port")) {
-    opt.metrics_port = int_value();
-  } else if (has_value("--metrics-port-file")) {
-    opt.metrics_port_file = argv[++i];
-  } else if (has_value("--trace-out")) {
-    opt.trace_path = argv[++i];
-  } else if (has_value("--recv-timeout-ms")) {
-    opt.recv_timeout_ms = int_value();
-  } else if (has_value("--max-backoff-shift")) {
-    opt.max_backoff_shift = int_value();
-  } else if (has_value("--connect-timeout-ms")) {
-    opt.transport.connect_timeout_ms = int_value();
-  } else if (has_value("--accept-timeout-ms")) {
-    opt.transport.accept_timeout_ms = int_value();
-  } else if (has_value("--max-connect-retries")) {
-    opt.transport.max_connect_retries = int_value();
-  } else if (has_value("--backoff-base-ms")) {
-    opt.transport.backoff_base_ms = int_value();
-  } else if (has_value("--backoff-cap-ms")) {
-    opt.transport.backoff_cap_ms = int_value();
-  } else if (has_value("--heartbeat-interval-ms")) {
-    opt.transport.heartbeat_interval_ms = int_value();
-  } else if (has_value("--heartbeat-timeout-ms")) {
-    opt.transport.heartbeat_timeout_ms = int_value();
-  } else if (has_value("--scan-quant")) {
-    const auto kernel = fedcleanse::tensor::parse_compute_kernel(argv[++i]);
-    if (!kernel) {
-      std::fprintf(stderr, "unknown scan kernel %s (want f32|int8)\n", argv[i]);
-      std::exit(2);
-    }
-    opt.scan_kernel = *kernel;
-  } else if (has_value("--update-codec")) {
-    const auto codec = fedcleanse::comm::parse_update_codec(argv[++i]);
-    if (!codec) {
-      std::fprintf(stderr, "unknown update codec %s (want f32|int8)\n", argv[i]);
-      std::exit(2);
-    }
-    opt.update_codec = *codec;
-  } else if (has_value("--checkpoint-dir")) {
-    opt.checkpoint_dir = argv[++i];
-  } else if (has_value("--checkpoint-every")) {
-    opt.checkpoint_every = int_value();
-  } else if (std::strcmp(argv[i], "--resume") == 0) {
-    opt.resume = true;
-  } else {
-    return false;
-  }
-  return true;
+// run::Session for a deployment node; --metrics-port turns metrics on too.
+inline run::Session open_session(const std::string& role, int argc, char** argv,
+                                 const Options& opt, bool checkpointed = true) {
+  if (opt.metrics_port >= 0) fedcleanse::obs::set_metrics_enabled(true);
+  return run::Session(role, argc, argv, opt.run, checkpointed);
 }
 
 // Transport config for the node's own sockets. The run seed doubles as the
@@ -167,27 +109,6 @@ inline fedcleanse::comm::TransportConfig make_transport(const Options& opt) {
   fedcleanse::comm::TransportConfig transport = opt.transport;
   transport.jitter_seed = opt.seed;
   return transport;
-}
-
-// Observability bring-up shared by the three deployment binaries: run
-// identity (the journal's {"kind":"open"} line), the trace file and its
-// process-name track label, and the runtime metrics switch — any requested
-// sink turns metrics on. Call before constructing the Journal.
-inline void init_observability(const Options& opt, const std::string& role, int argc,
-                               char** argv) {
-  namespace obs = fedcleanse::obs;
-  obs::set_run_identity(role, obs::hash_argv(argc, argv),
-                        fedcleanse::tensor::int8_dispatch_name());
-  obs::set_trace_process_name(role);
-  if (!opt.trace_path.empty()) {
-    obs::set_trace_path(opt.trace_path);
-    // Flush after main returns so every exit path (early errors included)
-    // still writes the trace file.
-    std::atexit(+[] { fedcleanse::obs::flush_trace(); });
-  }
-  if (!opt.journal_path.empty() || !opt.trace_path.empty() || opt.metrics_port >= 0) {
-    obs::set_metrics_enabled(true);
-  }
 }
 
 // /metricsz + /statusz listener when --metrics-port was given; nullptr
@@ -229,8 +150,8 @@ inline fedcleanse::fl::SimulationConfig make_simulation_config(const Options& op
   cfg.fault.recv_timeout_ms = opt.recv_timeout_ms;
   cfg.protocol.max_backoff_shift = opt.max_backoff_shift;
   cfg.protocol.transport = make_transport(opt);
-  cfg.train.scan_kernel = opt.scan_kernel;
-  cfg.train.update_codec = opt.update_codec;
+  cfg.train.scan_kernel = opt.run.scan_kernel;
+  cfg.train.update_codec = opt.run.update_codec;
   return cfg;
 }
 

@@ -19,11 +19,9 @@
 //
 // Usage: fedcleanse_client --id N --scheduler-port P
 //                          [--wait-timeout-ms N]
-//                          [shared deployment flags — see deploy_common.h]
+//                          [shared deployment flags — see --help]
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <optional>
@@ -33,16 +31,10 @@
 
 #include "comm/scheduler.h"
 #include "comm/socket_network.h"
-#include "common/logging.h"
 #include "common/serialize.h"
 #include "common/sysinfo.h"
 #include "deploy_common.h"
-#include "fl/run_state.h"
-#include "fl/simulation.h"
-#include "obs/journal.h"
 #include "obs/metrics.h"
-#include "obs/registry.h"
-#include "obs/trace.h"
 
 using namespace fedcleanse;
 
@@ -52,20 +44,12 @@ int main(int argc, char** argv) {
   deploy::Options opt;
   int id = -1;
   int wait_timeout_ms = 120000;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--id") == 0 && i + 1 < argc) {
-      id = cli::int_or_exit("--id", argv[++i]);
-    } else if (std::strcmp(argv[i], "--wait-timeout-ms") == 0 && i + 1 < argc) {
-      wait_timeout_ms = cli::int_or_exit("--wait-timeout-ms", argv[++i]);
-    } else if (deploy::parse_deploy_flag(argc, argv, i, opt)) {
-      continue;
-    } else {
-      std::fprintf(stderr,
-                   "unknown flag %s\nflags:\n  --id N --wait-timeout-ms N\n%s",
-                   argv[i], deploy::deploy_flag_help());
-      return 2;
-    }
-  }
+  cli::Table rows = {
+      cli::integer("--id", "N", "this client's id, in [0, clients)", id),
+      cli::integer("--wait-timeout-ms", "N", "wait this long for the server", wait_timeout_ms),
+  };
+  for (cli::Flag& f : deploy::flags(opt)) rows.push_back(std::move(f));
+  cli::parse(argc, argv, rows);
   if (id < 0 || id >= opt.clients) {
     std::fprintf(stderr, "--id must be in [0, %d)\n", opt.clients);
     return 2;
@@ -74,22 +58,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--scheduler-port is required\n");
     return 2;
   }
-  if (opt.resume && opt.checkpoint_dir.empty()) {
-    std::fprintf(stderr, "--resume requires --checkpoint-dir\n");
-    return 2;
-  }
-
-  deploy::init_observability(opt, "client-" + std::to_string(id), argc, argv);
-  std::unique_ptr<obs::Journal> journal;
-  if (!opt.journal_path.empty()) {
-    journal = std::make_unique<obs::Journal>(opt.journal_path, opt.resume);
-    if (!journal->ok()) {
-      std::fprintf(stderr, "cannot open journal %s\n", opt.journal_path.c_str());
-      return 2;
-    }
-    obs::set_ambient_journal(journal.get());
-    obs::set_metrics_enabled(true);
-  }
+  run::Session session = deploy::open_session("client-" + std::to_string(id), argc, argv, opt);
 
   const auto cfg = deploy::make_simulation_config(opt);
   int rc = 0;
@@ -146,10 +115,10 @@ int main(int argc, char** argv) {
     int position = 0;  // training rounds this replica has locally completed
     std::map<int, std::vector<std::uint8_t>> ring;
     std::unique_ptr<fl::CheckpointManager> manager;
-    if (!opt.checkpoint_dir.empty()) {
+    if (!opt.run.checkpoint_dir.empty()) {
       manager = std::make_unique<fl::CheckpointManager>(
-          opt.checkpoint_dir + "/client-" + std::to_string(id), opt.checkpoint_every);
-      if (opt.resume) {
+          opt.run.checkpoint_dir + "/client-" + std::to_string(id), opt.run.checkpoint_every);
+      if (opt.run.resume) {
         if (std::optional<fl::RunSnapshot> snap = manager->load_latest()) {
           fl::restore_client_snapshot(self, *snap, cfg.seed, id);
           epoch = snap->epoch;
@@ -265,6 +234,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "client %d: transport failure: %s\n", id, e.what());
     rc = 1;
   }
-  if (journal) obs::set_ambient_journal(nullptr);
   return rc;
 }

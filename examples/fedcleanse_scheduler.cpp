@@ -9,6 +9,7 @@
 //
 // Usage: fedcleanse_scheduler [--port P] [--port-file PATH] [--registry PATH]
 //                             [--journal-out run.jsonl] [transport flags]
+// (`fedcleanse_scheduler --help` lists them all)
 //
 // With --port 0 (the default) the OS picks the port; --port-file publishes
 // whatever was bound (written atomically, so launch scripts can poll for the
@@ -20,17 +21,10 @@
 // distinct-client roster from it (DESIGN.md §18) while the live nodes'
 // scheduler sessions reconnect and re-register on their own.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <string>
 
 #include "comm/scheduler.h"
-#include "common/logging.h"
 #include "deploy_common.h"
-#include "obs/journal.h"
-#include "obs/registry.h"
-#include "obs/trace.h"
 
 using namespace fedcleanse;
 
@@ -54,44 +48,26 @@ int main(int argc, char** argv) {
   int port = 0;
   std::string port_file;
   std::string registry_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-      port = cli::int_or_exit("--port", argv[++i]);
-    } else if (std::strcmp(argv[i], "--port-file") == 0 && i + 1 < argc) {
-      port_file = argv[++i];
-    } else if (std::strcmp(argv[i], "--registry") == 0 && i + 1 < argc) {
-      registry_path = argv[++i];
-    } else if (deploy::parse_deploy_flag(argc, argv, i, opt)) {
-      continue;
-    } else {
-      std::fprintf(stderr,
-                   "unknown flag %s\nflags:\n  --port P --port-file PATH --registry PATH\n%s",
-                   argv[i], deploy::deploy_flag_help());
-      return 2;
-    }
-  }
-  if (opt.resume && registry_path.empty()) {
+  cli::Table rows = {
+      cli::integer("--port", "P", "listen port; 0 = the OS picks one", port),
+      cli::text("--port-file", "PATH", "publish the bound port here", port_file),
+      cli::text("--registry", "PATH", "journal registrations; --resume restores from it",
+                registry_path),
+  };
+  for (cli::Flag& f : deploy::flags(opt)) rows.push_back(std::move(f));
+  cli::parse(argc, argv, rows);
+  if (opt.run.resume && registry_path.empty()) {
     std::fprintf(stderr, "--resume requires --registry\n");
     return 2;
   }
-
-  deploy::init_observability(opt, "scheduler", argc, argv);
-  std::unique_ptr<obs::Journal> journal;
-  if (!opt.journal_path.empty()) {
-    journal = std::make_unique<obs::Journal>(opt.journal_path, opt.resume);
-    if (!journal->ok()) {
-      std::fprintf(stderr, "cannot open journal %s\n", opt.journal_path.c_str());
-      return 2;
-    }
-    obs::set_ambient_journal(journal.get());
-    obs::set_metrics_enabled(true);
-  }
+  run::Session session =
+      deploy::open_session("scheduler", argc, argv, opt, /*checkpointed=*/false);
 
   try {
     comm::Scheduler scheduler(deploy::make_transport(opt), "127.0.0.1",
                               static_cast<std::uint16_t>(port));
     if (!registry_path.empty()) {
-      if (opt.resume) {
+      if (opt.run.resume) {
         const int restored = scheduler.load_registry(registry_path);
         std::printf("scheduler: restored %d client(s) from %s\n", restored,
                     registry_path.c_str());
@@ -120,6 +96,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "scheduler: transport failure: %s\n", e.what());
     return 1;
   }
-  if (journal) obs::set_ambient_journal(nullptr);
   return 0;
 }

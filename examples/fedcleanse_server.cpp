@@ -15,51 +15,25 @@
 //
 // Usage: fedcleanse_server --scheduler-port P [--save model.fckp]
 //                          [--local] [--no-defense] [--wait-timeout-ms N]
-//                          [shared deployment flags — see deploy_common.h]
+//                          [shared deployment flags — see --help]
 //
 // Degradation: if clients die mid-run (SIGKILL, network loss), training
 // rounds proceed while the quorum gate holds and skip aggregation below it;
 // the defense protocol instead refuses to cleanse from a sliver of reports
 // and the run exits nonzero after still shutting the deployment down.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
 
 #include "comm/scheduler.h"
 #include "comm/socket_network.h"
-#include "common/logging.h"
 #include "common/sysinfo.h"
-#include "defense/pipeline.h"
 #include "deploy_common.h"
 #include "fl/protocol.h"
-#include "fl/run_state.h"
-#include "fl/simulation.h"
-#include "nn/checkpoint.h"
-#include "obs/journal.h"
 #include "obs/metrics.h"
-#include "obs/registry.h"
-#include "obs/trace.h"
 
 using namespace fedcleanse;
-
-namespace {
-
-void print_report(const defense::DefenseReport& report) {
-  std::printf("  stage          TA      AA\n");
-  std::printf("  training     %.3f   %.3f\n", report.training.test_acc,
-              report.training.attack_acc);
-  std::printf("  after FP     %.3f   %.3f   (%d neurons pruned)\n",
-              report.after_fp.test_acc, report.after_fp.attack_acc, report.neurons_pruned);
-  std::printf("  after FT     %.3f   %.3f   (%d rounds)\n", report.after_ft.test_acc,
-              report.after_ft.attack_acc, report.finetune.rounds_run);
-  std::printf("  after AW     %.3f   %.3f   (%d weights zeroed)\n",
-              report.after_aw.test_acc, report.after_aw.attack_acc, report.weights_zeroed);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   common::init_log_level_from_env();
@@ -67,49 +41,23 @@ int main(int argc, char** argv) {
   deploy::Options opt;
   bool local = false;
   bool with_defense = true;
-  std::string save_path;
   int wait_timeout_ms = 120000;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--local") == 0) {
-      local = true;
-    } else if (std::strcmp(argv[i], "--no-defense") == 0) {
-      with_defense = false;
-    } else if (std::strcmp(argv[i], "--save") == 0 && i + 1 < argc) {
-      save_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--wait-timeout-ms") == 0 && i + 1 < argc) {
-      wait_timeout_ms = cli::int_or_exit("--wait-timeout-ms", argv[++i]);
-    } else if (deploy::parse_deploy_flag(argc, argv, i, opt)) {
-      continue;
-    } else {
-      std::fprintf(stderr,
-                   "unknown flag %s\nflags:\n"
-                   "  --local --no-defense --save PATH --wait-timeout-ms N\n%s",
-                   argv[i], deploy::deploy_flag_help());
-      return 2;
-    }
-  }
+  cli::Table rows = {
+      cli::toggle("--local", "run the in-process reference instead", [&] { local = true; }),
+      cli::toggle("--no-defense", "stop after training", [&] { with_defense = false; }),
+      run::save_flag(opt.run),
+      cli::integer("--wait-timeout-ms", "N", "wait this long for every client to register",
+                   wait_timeout_ms),
+  };
+  for (cli::Flag& f : deploy::flags(opt)) rows.push_back(std::move(f));
+  cli::parse(argc, argv, rows);
   if (!local && opt.scheduler_port <= 0) {
     std::fprintf(stderr, "--scheduler-port is required (or pass --local)\n");
     return 2;
   }
-  if (opt.resume && opt.checkpoint_dir.empty()) {
-    std::fprintf(stderr, "--resume requires --checkpoint-dir\n");
-    return 2;
-  }
-
-  deploy::init_observability(opt, "server", argc, argv);
-  std::unique_ptr<obs::Journal> journal;
-  if (!opt.journal_path.empty()) {
-    // A resumed run appends (the {"kind":"server_resume"} line marks the
-    // restart boundary) instead of clobbering the pre-crash rounds.
-    journal = std::make_unique<obs::Journal>(opt.journal_path, opt.resume);
-    if (!journal->ok()) {
-      std::fprintf(stderr, "cannot open journal %s\n", opt.journal_path.c_str());
-      return 2;
-    }
-    obs::set_ambient_journal(journal.get());
-    obs::set_metrics_enabled(true);
-  }
+  // A resumed run appends to its journal: the {"kind":"server_resume"} line
+  // marks the restart boundary.
+  run::Session session = deploy::open_session("server", argc, argv, opt);
 
   const auto cfg = deploy::make_simulation_config(opt);
   const auto dcfg = deploy::make_defense_config(opt);
@@ -120,38 +68,15 @@ int main(int argc, char** argv) {
       // In-process reference: the byte-identity baseline for the socket path.
       std::printf("server: local reference run (%d clients, %d rounds)\n",
                   cfg.n_clients, cfg.rounds);
-      fl::Simulation sim(cfg);
+      auto sim = run::valid_or_exit([&] { return std::make_unique<fl::Simulation>(cfg); });
       // Full-run checkpointing, exactly quickstart's flow: the whole
       // simulation (clients included) lives in this process.
-      std::unique_ptr<fl::CheckpointManager> manager;
-      std::optional<fl::RunSnapshot> resumed;
-      if (!opt.checkpoint_dir.empty()) {
-        manager = std::make_unique<fl::CheckpointManager>(opt.checkpoint_dir,
-                                                          opt.checkpoint_every);
-        if (opt.resume) {
-          resumed = manager->load_latest();
-          if (resumed) {
-            fl::resume_simulation(sim, *resumed);
-            std::printf("  resumed from %s snapshot (next round %d)\n",
-                        resumed->stage.c_str(), resumed->next_round);
-          } else {
-            std::printf("  no snapshot in %s; starting fresh\n",
-                        opt.checkpoint_dir.c_str());
-          }
-        }
-        sim.set_checkpoint_manager(manager.get());
-      }
-      sim.run();
-      std::printf("  after training: TA=%.3f  AA=%.3f\n", sim.test_accuracy(),
-                  sim.attack_success());
-      if (with_defense) {
-        print_report(defense::run_defense(sim, dcfg, manager.get(),
-                                          resumed ? &*resumed : nullptr));
-      }
-      if (!save_path.empty()) {
-        nn::save_model_file(sim.server().model(), save_path);
-        std::printf("saved model to %s\n", save_path.c_str());
-      }
+      session.attach(*sim);
+      sim->run();
+      std::printf("  after training: TA=%.3f  AA=%.3f\n", sim->test_accuracy(),
+                  sim->attack_success());
+      if (with_defense) run::print_stage_table(session.defend(*sim, dcfg));
+      session.save(sim->server().model(), "model");
       return 0;
     }
 
@@ -179,9 +104,9 @@ int main(int argc, char** argv) {
     comm::RegisterInfo info;
     info.role = comm::NodeRole::kServer;
     info.port = net.port();
-    comm::SchedulerSession session(opt.scheduler_host,
-                                   static_cast<std::uint16_t>(opt.scheduler_port), info,
-                                   deploy::make_transport(opt));
+    comm::SchedulerSession scheduler(opt.scheduler_host,
+                                     static_cast<std::uint16_t>(opt.scheduler_port), info,
+                                     deploy::make_transport(opt));
     std::printf("server: data port %u registered, waiting for %d clients...\n",
                 static_cast<unsigned>(net.port()), cfg.n_clients);
     std::fflush(stdout);
@@ -189,7 +114,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "server: only %d of %d clients registered within %d ms\n",
                    net.n_alive(), cfg.n_clients, wait_timeout_ms);
       net.broadcast_shutdown();
-      session.notify_shutdown();
+      scheduler.notify_shutdown();
       return 1;
     }
     std::printf("server: all %d clients registered, training %d rounds\n", cfg.n_clients,
@@ -201,10 +126,10 @@ int main(int argc, char** argv) {
     // at round boundaries; on --resume, restore it at a bumped epoch and
     // roll the live clients to the committed round before replaying.
     std::unique_ptr<fl::CheckpointManager> manager;
-    if (!opt.checkpoint_dir.empty()) {
-      manager = std::make_unique<fl::CheckpointManager>(opt.checkpoint_dir + "/server",
-                                                        opt.checkpoint_every);
-      if (opt.resume) {
+    if (!opt.run.checkpoint_dir.empty()) {
+      manager = std::make_unique<fl::CheckpointManager>(opt.run.checkpoint_dir + "/server",
+                                                        opt.run.checkpoint_every);
+      if (opt.run.resume) {
         if (std::optional<fl::RunSnapshot> snap = manager->load_latest()) {
           const std::uint32_t epoch = snap->epoch + 1;
           fl::resume_server_simulation(sim, *snap, epoch);
@@ -215,7 +140,7 @@ int main(int argc, char** argv) {
                       cfg.n_clients);
         } else {
           std::printf("  no snapshot in %s/server; starting fresh\n",
-                      opt.checkpoint_dir.c_str());
+                      opt.run.checkpoint_dir.c_str());
         }
       }
       sim.set_checkpoint_manager(manager.get());
@@ -228,11 +153,8 @@ int main(int argc, char** argv) {
       // scope (they capture every client), which a remote server cannot
       // take — a crash during defense restarts from the last training
       // snapshot (DESIGN.md §18 recovery matrix).
-      if (with_defense) print_report(defense::run_defense(sim, dcfg));
-      if (!save_path.empty()) {
-        nn::save_model_file(sim.server().model(), save_path);
-        std::printf("saved model to %s\n", save_path.c_str());
-      }
+      if (with_defense) run::print_stage_table(defense::run_defense(sim, dcfg));
+      session.save(sim.server().model(), "model");
     } catch (const QuorumError& e) {
       // Too few live clients to trust a protocol decision: shut the
       // deployment down cleanly rather than hang or crash.
@@ -240,13 +162,12 @@ int main(int argc, char** argv) {
       rc = 1;
     }
     net.broadcast_shutdown();
-    session.notify_shutdown();
+    scheduler.notify_shutdown();
     std::printf("server: run %s (%d of %d clients alive at shutdown)\n",
                 rc == 0 ? "complete" : "abandoned", net.n_alive(), cfg.n_clients);
   } catch (const comm::TransportError& e) {
     std::fprintf(stderr, "server: transport failure: %s\n", e.what());
     rc = 1;
   }
-  if (journal) obs::set_ambient_journal(nullptr);
   return rc;
 }

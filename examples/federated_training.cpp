@@ -6,8 +6,8 @@
 //
 // Usage: federated_training [rounds] [labels_per_client] [gamma] [n_attackers] [seed] [lr] [epochs] [spc]
 #include <cstdio>
-#include <cstdlib>
 
+#include "cli.h"
 #include "common/logging.h"
 #include "fl/simulation.h"
 #include "obs/trace.h"
@@ -17,21 +17,22 @@ using namespace fedcleanse;
 int main(int argc, char** argv) {
   common::init_log_level_from_env();
   obs::init_from_env();  // FEDCLEANSE_TRACE=path enables span tracing
-  auto arg = [&](int i, double dflt) {
-    return argc > i ? std::strtod(argv[i], nullptr) : dflt;
-  };
-
   fl::SimulationConfig cfg;
   cfg.arch = nn::Architecture::kMnistCnn;
   cfg.dataset = data::SynthKind::kDigits;
-  cfg.rounds = static_cast<int>(arg(1, 20));
-  cfg.labels_per_client = static_cast<int>(arg(2, 3));
-  cfg.attack.gamma = arg(3, 5.0);
-  cfg.n_attackers = static_cast<int>(arg(4, 1));
-  cfg.seed = static_cast<std::uint64_t>(arg(5, 42));
-  cfg.train.lr = arg(6, 0.1);
-  cfg.train.local_epochs = static_cast<int>(arg(7, 2));
-  cfg.samples_per_class_train = static_cast<int>(arg(8, 100));
+  cfg.rounds = 20;
+  cfg.attack.gamma = 5.0;
+  cli::parse(argc, argv,
+             {cli::integer("rounds", "", "training rounds", cfg.rounds),
+              cli::integer("labels_per_client", "", "labels per client, non-IID",
+                           cfg.labels_per_client),
+              cli::real("gamma", "", "model replacement amplification", cfg.attack.gamma),
+              cli::integer("n_attackers", "", "malicious clients", cfg.n_attackers),
+              cli::u64("seed", "", "RNG seed", cfg.seed),
+              cli::real("lr", "", "local learning rate", cfg.train.lr),
+              cli::integer("epochs", "", "local epochs per round", cfg.train.local_epochs),
+              cli::integer("spc", "", "training samples per class",
+                           cfg.samples_per_class_train)});
   cfg.attack.pattern = data::make_pixel_pattern(5);
   cfg.attack.victim_label = 9;
   cfg.attack.attack_label = 1;

@@ -7,9 +7,9 @@
 //
 // Usage: neural_cleanse_demo [seed]
 #include <cstdio>
-#include <cstdlib>
 
 #include "baselines/neural_cleanse.h"
+#include "cli.h"
 #include "common/logging.h"
 #include "fl/metrics.h"
 #include "fl/simulation.h"
@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   cfg.attack.attack_label = 1;
   cfg.attack.gamma = 5.0;
   cfg.attack.poison_copies = 2;
-  cfg.seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+  cli::parse(argc, argv, {cli::u64("seed", "", "RNG seed", cfg.seed)});
 
   std::printf("Training backdoored model (9 -> 1, 5-pixel trigger)...\n");
   fl::Simulation sim(cfg);

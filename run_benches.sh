@@ -2,15 +2,11 @@
 # Regenerate every table and figure. FEDCLEANSE_SCALE trades fidelity for
 # time. Tables run first (the headline results), then figures/ablations.
 #
-# micro_ops and fl_scale additionally write BENCH_micro_ops.json and
-# BENCH_fl_scale.json into the repo root (the committed baselines —
-# scripts/bench_compare.py diffs fresh runs against them). FEDCLEANSE_THREADS
-# sets the pool size micro_ops times against (default: hardware concurrency);
-# FEDCLEANSE_SCALE_MAX_CLIENTS trims the fl_scale ladder; setting
-# FEDCLEANSE_UPDATE_CODEC=int8 reruns fl_scale with quantized uplink.
+# micro_ops additionally writes BENCH_micro_ops.json into the repo root (the
+# committed baseline — scripts/bench_compare.py diffs fresh runs against it).
+# FEDCLEANSE_THREADS sets the pool size micro_ops times against (default:
+# hardware concurrency).
 cd "$(dirname "$0")" || exit 1
-: "${FEDCLEANSE_SCALE_MAX_CLIENTS:=100000}"
-export FEDCLEANSE_SCALE_MAX_CLIENTS
 for b in build/bench/table1_mnist build/bench/table2_fashion \
          build/bench/table3_cifar_dba build/bench/table4_neural_cleanse \
          build/bench/table5_pruning_methods build/bench/table6_adjust_weights \
@@ -19,7 +15,7 @@ for b in build/bench/table1_mnist build/bench/table2_fashion \
          build/bench/fig7_random_selection build/bench/fig8_num_attackers \
          build/bench/fig9_energy build/bench/fig10_regularization \
          build/bench/ablation_adaptive_attacks build/bench/ablation_aggregators \
-         build/bench/micro_ops build/bench/fl_scale; do
+         build/bench/micro_ops; do
   echo "===== $(basename "$b") ====="
   "$b"
   echo

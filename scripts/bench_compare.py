@@ -3,10 +3,8 @@
 
 Usage: bench_compare.py BASELINE.json CANDIDATE.json [--tolerance 0.10]
 
-Handles both BENCH_micro_ops.json (serial_ns_per_iter per kernel record)
-and BENCH_fl_scale.json (rounds_per_sec per population rung, compared as
-ns-per-round so lower is uniformly better). Records are matched on
-(op, size-or-n_clients, kernel). A record whose candidate time exceeds the
+Compares BENCH_micro_ops.json files (serial_ns_per_iter per kernel record).
+Records are matched on (op, size, kernel). A record whose candidate time exceeds the
 baseline by more than the tolerance is a regression; the exit code is 1 if
 any regression is found, so a CI step can gate on it. Records present on
 only one side are reported but never fail the comparison (benches come and
@@ -17,12 +15,10 @@ uploads the candidate as the next baseline.
 Only serial times are compared: pooled times depend on the runner's core
 count, which differs between the machine that produced the baseline and CI.
 
-Two informational summaries follow the regression table (neither gates):
-  * quantized-kernel speedups within the candidate — for every (op, size)
-    carrying an f32 row plus int8/fused siblings, the ratio of the f32
-    (or unfused) serial time to the sibling's;
-  * wire-bytes deltas for fl_scale rungs that report wire_bytes, so a codec
-    change shows its uplink shrink next to the perf numbers.
+An informational summary follows the regression table (it never gates):
+quantized-kernel speedups within the candidate — for every (op, size)
+carrying an f32 row plus int8/fused siblings, the ratio of the f32 (or
+unfused) serial time to the sibling's.
 """
 from __future__ import annotations
 
@@ -36,20 +32,14 @@ def load(path: str) -> dict[tuple[str, str, str], dict]:
         doc = json.load(f)
     out = {}
     for rec in doc.get("results", []):
-        size = rec.get("size", rec.get("n_clients", ""))
-        key = (rec.get("op", ""), str(size), rec.get("kernel", ""))
+        key = (rec.get("op", ""), str(rec.get("size", "")), rec.get("kernel", ""))
         out[key] = rec
     return out
 
 
 def metric_ns(rec: dict) -> float | None:
     """A record's comparable cost in nanoseconds (lower is better)."""
-    if "serial_ns_per_iter" in rec:
-        return rec["serial_ns_per_iter"]
-    rps = rec.get("rounds_per_sec")
-    if isinstance(rps, (int, float)) and rps > 0:
-        return 1e9 / rps
-    return None
+    return rec.get("serial_ns_per_iter")
 
 
 def fmt_key(key: tuple[str, str, str]) -> str:
@@ -80,25 +70,6 @@ def summarize_quant(records: dict[tuple[str, str, str], dict]) -> None:
         lines.append(f"  {op}/{size}: {kernel} is {b / c:.2f}x vs {ref_kernel}")
     if lines:
         print("\nquantized-kernel speedups (candidate, serial):")
-        for line in lines:
-            print(line)
-
-
-def summarize_wire_bytes(base: dict[tuple[str, str, str], dict],
-                         cand: dict[tuple[str, str, str], dict]) -> None:
-    lines = []
-    for key in sorted(base.keys() & cand.keys()):
-        b, c = base[key].get("wire_bytes"), cand[key].get("wire_bytes")
-        if not isinstance(b, (int, float)) or not isinstance(c, (int, float)) or c <= 0:
-            continue
-        codec = cand[key].get("update_codec", "")
-        tag = f" [{codec}]" if codec else ""
-        lines.append(f"  {fmt_key(key)}: {b:.0f} -> {c:.0f} bytes "
-                     f"({b / c:.2f}x smaller){tag}" if b >= c else
-                     f"  {fmt_key(key)}: {b:.0f} -> {c:.0f} bytes "
-                     f"({c / b:.2f}x larger){tag}")
-    if lines:
-        print("\nwire bytes (baseline -> candidate):")
         for line in lines:
             print(line)
 
@@ -145,7 +116,6 @@ def main() -> int:
         print(f"{fmt_key(key):<40} (only in candidate)")
 
     summarize_quant(cand)
-    summarize_wire_bytes(base, cand)
 
     if regressions:
         print(f"\n{len(regressions)} regression(s) beyond {args.tolerance:.0%}:")
