@@ -111,15 +111,17 @@ bench::MicroRecord conv_backward_params(common::ThreadPool& pool, int batch, int
 }
 
 // The 2×2 stride-2 max-pool every zoo model runs after its first conv, at
-// MnistCnn's first-pool shape (20×20 planes). The kernel is serial, so both
-// columns time the same code.
+// MnistCnn's first-pool shape (20×20 planes), with the argmax training
+// keeps for backward. The kernel is serial, so both columns time the same
+// code.
 bench::MicroRecord maxpool_2x2(common::ThreadPool& pool, int batch, int channels) {
   common::Rng rng(1);
   auto x = tensor::Tensor::randn({batch, channels, 20, 20}, rng);
+  std::vector<std::int64_t> argmax;
   auto rec = bench::time_serial_vs_threaded(
       "maxpool2d_2x2", batch_size(batch, channels), pool, [&] {
-        auto r = tensor::maxpool2d_forward(x, 2, 2);
-        bench::do_not_optimize(r.output.data().data());
+        auto out = tensor::maxpool2d_forward(x, 2, 2, &argmax);
+        bench::do_not_optimize(out.data().data());
       });
   rec.kernel = "branchless";
   return rec;

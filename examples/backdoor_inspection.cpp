@@ -35,7 +35,7 @@ std::vector<double> channel_means(nn::ModelSpec& model, const data::Dataset& ds)
     idx.clear();
     for (std::size_t i = start; i < std::min(ds.size(), start + 64); ++i) idx.push_back(i);
     auto batch = ds.make_batch(idx);
-    model.net.forward_with_tap(batch.images, model.tap_index, tapped);
+    model.net.infer(batch.images, model.tap_index, &tapped);
     acc.add_batch(tapped);
   }
   return acc.means();

@@ -22,8 +22,10 @@ set -euo pipefail
 # Re-exec as a process-group leader so cleanup can kill the *whole* group:
 # `jobs -p` misses grandchildren, and a failed assertion mid-run used to
 # leave orphaned clients spinning in their reconnect loops.
+# A caller that already leads its process group (a shell with job control)
+# makes setsid fork; --wait then hands back the run's exit status.
 if [ "${FC_PGL:-}" != 1 ]; then
-  FC_PGL=1 exec setsid "$0" "$@"
+  FC_PGL=1 exec setsid --wait "$0" "$@"
 fi
 
 TELEMETRY=0

@@ -26,8 +26,10 @@ set -euo pipefail
 # Re-exec as a process-group leader so cleanup can kill the *whole* group:
 # `jobs -p` misses grandchildren, and a failed assertion mid-run used to
 # leave orphaned clients spinning in their reconnect loops.
+# A caller that already leads its process group (a shell with job control)
+# makes setsid fork; --wait then hands back the run's exit status.
 if [ "${FC_PGL:-}" != 1 ]; then
-  FC_PGL=1 exec setsid "$0" "$@"
+  FC_PGL=1 exec setsid --wait "$0" "$@"
 fi
 
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -111,7 +113,13 @@ EOF
 
 echo "[3/6] SIGKILL clients 3 and 5 mid-run; restarting client 3"
 kill -9 "${CPID[3]}" "${CPID[5]}"
-sleep 1
+# Restart client 3 as soon as the server journals both deaths: the server
+# finishes its remaining rounds and the defense within about a second of the
+# kills, so a fixed pause can outlast the run and leave no round to rejoin.
+for _ in $(seq 500); do
+  [ "$(grep -c '"kind":"client_dead"' "$WORK/server.jsonl" || true)" -ge 2 ] && break
+  sleep 0.01
+done
 "$BUILD/examples/fedcleanse_client" --id 3 "${FLAGS[@]}" \
   --scheduler-port "$PORT" --trace-out "$WORK/client3-restarted.trace.json" \
   >"$WORK/client3-restarted.log" 2>&1 &

@@ -24,7 +24,7 @@ std::vector<double> channel_means(nn::ModelSpec& model, const data::Dataset& dat
       idx.push_back(i);
     }
     auto batch = dataset.make_batch(idx);
-    model.net.forward_with_tap(batch.images, model.tap_index, tapped);
+    model.net.infer(batch.images, model.tap_index, &tapped);
     acc.add_batch(tapped);
   }
   return acc.means();

@@ -225,7 +225,7 @@ NeuralCleanseReport run_neural_cleanse(nn::ModelSpec& model, const data::Dataset
                                        all.begin() + static_cast<std::ptrdiff_t>(end));
         auto batch = clean_data.make_batch(chunk);
         auto patched = blend(batch.images, trig.mask, trig.pattern);
-        model.net.forward_with_tap(patched, model.tap_index, tapped);
+        model.net.infer(patched, model.tap_index, &tapped);
         acc.add_batch(tapped);
       }
       auto means = acc.means();

@@ -1,7 +1,14 @@
 #include "common/sysinfo.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 namespace fedcleanse::common {
 
@@ -28,8 +35,35 @@ std::size_t status_field_bytes(const char* field) {
 
 }  // namespace
 
-std::size_t peak_rss_bytes() { return status_field_bytes("VmHWM"); }
+std::size_t peak_rss_bytes() {
+  // VmHWM is the larger of the kernel's lazily updated high-water mark and
+  // the current RSS, so one read can come out below an earlier one. The
+  // running maximum of every read keeps the reported peak monotone.
+  static std::atomic<std::size_t> peak{0};
+  const std::size_t now = status_field_bytes("VmHWM");
+  std::size_t seen = peak.load(std::memory_order_relaxed);
+  while (now > seen && !peak.compare_exchange_weak(seen, now, std::memory_order_relaxed)) {
+  }
+  return std::max(seen, now);
+}
 
 std::size_t current_rss_bytes() { return status_field_bytes("VmRSS"); }
+
+void pin_malloc_thresholds() {
+  static const bool pinned = [] {
+#if defined(__GLIBC__)
+    const char* tunables = std::getenv("GLIBC_TUNABLES");
+    if (tunables != nullptr && std::strstr(tunables, "glibc.malloc.") != nullptr) return false;
+    // 32 MiB is glibc's own ceiling for the dynamic mmap threshold, and twice
+    // that is the trim threshold it pairs with it.
+    mallopt(M_MMAP_THRESHOLD, 32 << 20);
+    mallopt(M_TRIM_THRESHOLD, 64 << 20);
+    return true;
+#else
+    return false;
+#endif
+  }();
+  (void)pinned;
+}
 
 }  // namespace fedcleanse::common

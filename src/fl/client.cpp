@@ -134,10 +134,9 @@ std::vector<double> Client::activation_means(std::span<const float> global_param
   tensor::Tensor tapped;
   for (const auto& batch_indices : data_.shuffled_batches(config_.batch_size, rng_)) {
     auto batch = data_.make_batch(batch_indices);
-    model_.net.forward_with_tap(batch.images, model_.tap_index, tapped, config_.scan_kernel);
+    model_.net.infer(batch.images, model_.tap_index, &tapped, config_.scan_kernel);
     acc.add_batch(tapped);
   }
-  model_.net.release_caches();
   return acc.means();
 }
 
@@ -161,14 +160,13 @@ std::vector<double> Client::backdoor_neuron_scores() {
     tensor::Tensor tapped;
     for (const auto& batch_indices : ds.shuffled_batches(config_.batch_size, rng_)) {
       auto batch = ds.make_batch(batch_indices);
-      model_.net.forward_with_tap(batch.images, model_.tap_index, tapped, config_.scan_kernel);
+      model_.net.infer(batch.images, model_.tap_index, &tapped, config_.scan_kernel);
       acc.add_batch(tapped);
     }
     return acc.means();
   };
   auto on_poisoned = channel_means(poisoned);
   auto on_clean = channel_means(clean);
-  model_.net.release_caches();
   std::vector<double> scores(on_poisoned.size());
   for (std::size_t i = 0; i < scores.size(); ++i) scores[i] = on_poisoned[i] - on_clean[i];
   return scores;
@@ -223,7 +221,6 @@ std::vector<std::uint8_t> Client::vote_report(std::span<const float> global_para
 double Client::report_accuracy(std::span<const float> global_params) {
   model_.net.set_flat(global_params);
   const double acc = evaluate_accuracy(model_.net, data_, config_.batch_size);
-  model_.net.release_caches();
   if (attack_) {
     // An attacker reports an inflated accuracy so the server keeps pruning
     // past the point where the benign task degrades (or stops early) — it

@@ -29,6 +29,7 @@ Simulation::Simulation(SimulationConfig config, comm::Network* remote_net)
           common::resolve_n_threads(static_cast<std::size_t>(
               config_.n_threads < 0 ? 0 : config_.n_threads)))),
       rng_(config_.seed) {
+  common::pin_malloc_thresholds();
   common::set_ambient_pool(pool_.get());
   FC_REQUIRE(config_.n_clients > 0, "need at least one client");
   FC_REQUIRE(config_.n_attackers >= 0 && config_.n_attackers <= config_.n_clients,

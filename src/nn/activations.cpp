@@ -2,13 +2,17 @@
 
 namespace fedcleanse::nn {
 
-Tensor ReLU::forward(const Tensor& x) {
-  input_cache_ = x;
+Tensor ReLU::infer(const Tensor& x) const {
   Tensor y = x;
   for (auto& v : y.storage()) {
     if (v < 0.0f) v = 0.0f;
   }
   return y;
+}
+
+Tensor ReLU::forward(const Tensor& x) {
+  input_cache_ = x;
+  return infer(x);
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {
@@ -22,12 +26,16 @@ Tensor ReLU::backward(const Tensor& grad_out) {
   return g;
 }
 
-Tensor Flatten::forward(const Tensor& x) {
+Tensor Flatten::infer(const Tensor& x) const {
   FC_REQUIRE(x.shape().rank() >= 2, "Flatten expects at least 2-D input");
-  input_shape_ = x.shape();
   const int n = x.shape()[0];
   const int features = static_cast<int>(x.size() / static_cast<std::size_t>(n));
   return x.reshaped(Shape{n, features});
+}
+
+Tensor Flatten::forward(const Tensor& x) {
+  input_shape_ = x.shape();
+  return infer(x);
 }
 
 Tensor Flatten::backward(const Tensor& grad_out) {

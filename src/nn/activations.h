@@ -7,6 +7,7 @@ namespace fedcleanse::nn {
 
 class ReLU : public Layer {
  public:
+  Tensor infer(const Tensor& x) const override;
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   // When the preceding layer fused this ReLU into its epilogue, the post-relu
@@ -24,6 +25,7 @@ class ReLU : public Layer {
 // Reshapes [N, C, H, W] (or any rank ≥ 2) to [N, features].
 class Flatten : public Layer {
  public:
+  Tensor infer(const Tensor& x) const override;
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   std::unique_ptr<Layer> clone() const override { return std::make_unique<Flatten>(*this); }

@@ -23,16 +23,24 @@ Conv2d::Conv2d(int in_channels, int out_channels, int kernel, common::Rng& rng, 
   bias_.fill(0.0f);
 }
 
+Tensor Conv2d::infer(const Tensor& x) const {
+  return infer_conv(x, /*fuse_relu=*/false, tensor::ComputeKernel::kF32);
+}
+
 Tensor Conv2d::forward(const Tensor& x) {
   return forward_conv(x, /*fuse_relu=*/false, tensor::ComputeKernel::kF32);
 }
 
-Tensor Conv2d::forward_conv(const Tensor& x, bool fuse_relu, tensor::ComputeKernel kernel) {
-  input_cache_ = x;
+Tensor Conv2d::infer_conv(const Tensor& x, bool fuse_relu, tensor::ComputeKernel kernel) const {
   // Pruned channels are skipped inside the packed GEMM (and written as exact
   // zeros) rather than zeroed in a second pass over the output.
   return tensor::conv2d_forward_quant(x, weight_, bias_, spec_, kernel, fuse_relu,
                                       any_pruned_ ? active_.data() : nullptr);
+}
+
+Tensor Conv2d::forward_conv(const Tensor& x, bool fuse_relu, tensor::ComputeKernel kernel) {
+  input_cache_ = x;
+  return infer_conv(x, fuse_relu, kernel);
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) { return run_backward(grad_out, true); }

@@ -15,10 +15,14 @@ class Conv2d : public Layer {
   Conv2d(int in_channels, int out_channels, int kernel, common::Rng& rng, int stride = 1,
          int padding = 0);
 
+  Tensor infer(const Tensor& x) const override;
   Tensor forward(const Tensor& x) override;
-  // Forward with an optional fused ReLU epilogue (bit-identical to a
+  // Inference with an optional fused ReLU epilogue (bit-identical to a
   // trailing nn::ReLU) and a per-call compute kernel for the quantized
-  // scan paths. forward(x) ≡ forward_conv(x, false, kF32).
+  // scan paths. infer(x) ≡ infer_conv(x, false, kF32).
+  Tensor infer_conv(const Tensor& x, bool fuse_relu, tensor::ComputeKernel kernel) const;
+  // infer_conv plus caching the input for backward.
+  // forward(x) ≡ forward_conv(x, false, kF32).
   Tensor forward_conv(const Tensor& x, bool fuse_relu, tensor::ComputeKernel kernel);
   Tensor backward(const Tensor& grad_out) override;
   // Weight and bias gradients only: the kernel skips dL/dx entirely.

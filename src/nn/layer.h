@@ -1,7 +1,7 @@
-// Layer abstraction: forward/backward with cached context, parameter
-// enumeration for the optimizer and for flat (de)serialization in FedAvg,
-// and a unit-pruning interface ("neurons" in the paper = conv output
-// channels / FC units).
+// Layer abstraction: a cache-free infer, forward/backward with cached
+// context, parameter enumeration for the optimizer and for flat
+// (de)serialization in FedAvg, and a unit-pruning interface ("neurons" in
+// the paper = conv output channels / FC units).
 #pragma once
 
 #include <cstdint>
@@ -26,7 +26,10 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  // Compute the layer output and cache whatever backward will need.
+  // Compute the layer output without caching anything: const, so one layer
+  // may serve several threads at once (inference, activation scans).
+  virtual Tensor infer(const Tensor& x) const = 0;
+  // infer plus caching whatever backward will need.
   virtual Tensor forward(const Tensor& x) = 0;
   // Given dLoss/dOutput, accumulate parameter gradients and return
   // dLoss/dInput. Must be called after forward on the same input.

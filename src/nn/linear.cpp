@@ -21,11 +21,10 @@ Linear::Linear(int in_features, int out_features, common::Rng& rng)
   bias_.fill(0.0f);
 }
 
-Tensor Linear::forward(const Tensor& x) {
+Tensor Linear::infer(const Tensor& x) const {
   FC_REQUIRE(x.shape().rank() == 2 && x.shape()[1] == in_features_,
              "Linear forward expects [N," + std::to_string(in_features_) + "], got " +
                  x.shape().to_string());
-  input_cache_ = x;
   const int n = x.shape()[0];
   if (!any_pruned_) {
     // Bias rides in the GEMM's col_bias epilogue — the same c + b[j] float
@@ -46,6 +45,11 @@ Tensor Linear::forward(const Tensor& x) {
     }
   }
   return y;
+}
+
+Tensor Linear::forward(const Tensor& x) {
+  input_cache_ = x;
+  return infer(x);
 }
 
 Tensor Linear::forward_softmax(const Tensor& x) {

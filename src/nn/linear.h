@@ -11,6 +11,7 @@ class Linear : public Layer {
   // Kaiming-uniform initialization from `rng`.
   Linear(int in_features, int out_features, common::Rng& rng);
 
+  Tensor infer(const Tensor& x) const override;
   Tensor forward(const Tensor& x) override;
   // Forward fused with row softmax: returns softmax(x·Wᵀ + b), bit-identical
   // to forward() followed by tensor::softmax_rows. Used by the classifier

@@ -13,6 +13,7 @@ class MaxPool2d : public Layer {
     FC_REQUIRE(kernel_ > 0 && stride_ > 0, "MaxPool2d kernel/stride must be positive");
   }
 
+  Tensor infer(const Tensor& x) const override;
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   void release_cache() override { std::vector<std::int64_t>().swap(argmax_); }

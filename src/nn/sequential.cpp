@@ -1,5 +1,7 @@
 #include "nn/sequential.h"
 
+#include <type_traits>
+
 #include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
@@ -13,32 +15,48 @@ int Sequential::add(std::unique_ptr<Layer> layer) {
   return static_cast<int>(layers_.size()) - 1;
 }
 
-Tensor Sequential::run_forward(const Tensor& x, int tap_index, Tensor* tap_out,
-                               tensor::ComputeKernel kernel, bool fuse_softmax) {
+namespace {
+
+// The one layer loop behind forward, forward_probs and infer. `Net` is
+// Sequential, whose layers run forward and cache for backward, or const
+// Sequential, whose layers run the cache-free infer. Conv2d+ReLU pairs run
+// the ReLU as the conv GEMM's epilogue; the tap copies out the output of
+// layer `tap_index`; `fuse_softmax` fuses the head's softmax.
+template <typename Net>
+Tensor run_layers(Net& net, const Tensor& x, int tap_index, Tensor* tap_out,
+                  tensor::ComputeKernel kernel, bool fuse_softmax) {
+  constexpr bool kCache = !std::is_const_v<Net>;
+  using ConvT = std::conditional_t<kCache, Conv2d, const Conv2d>;
+  using ReluT = std::conditional_t<kCache, ReLU, const ReLU>;
   Tensor cur = x;
-  const int n = size();
+  const int n = net.size();
   int i = 0;
   while (i < n) {
-    Layer* layer = layers_[static_cast<std::size_t>(i)].get();
-    if (auto* conv = dynamic_cast<Conv2d*>(layer)) {
+    auto& layer = net.layer(i);
+    if (auto* conv = dynamic_cast<ConvT*>(&layer)) {
       // Conv2d+ReLU peephole: run the ReLU as the conv GEMM's epilogue and
       // hand the ReLU its output for backward. Suppressed when the tap wants
       // this conv's pre-activation values.
-      auto* relu = i + 1 < n && tap_index != i
-                       ? dynamic_cast<ReLU*>(layers_[static_cast<std::size_t>(i) + 1].get())
-                       : nullptr;
-      cur = conv->forward_conv(cur, relu != nullptr, kernel);
+      auto* relu = i + 1 < n && tap_index != i ? dynamic_cast<ReluT*>(&net.layer(i + 1))
+                                               : nullptr;
+      if constexpr (kCache) {
+        cur = conv->forward_conv(cur, relu != nullptr, kernel);
+        if (relu != nullptr) relu->adopt_output(cur);
+      } else {
+        cur = conv->infer_conv(cur, relu != nullptr, kernel);
+      }
       if (relu != nullptr) {
-        relu->adopt_output(cur);
         if (tap_index == i + 1 && tap_out != nullptr) *tap_out = cur;
         i += 2;
         continue;
       }
-    } else {
+    } else if constexpr (kCache) {
       if (fuse_softmax && i == n - 1) {
-        if (auto* lin = dynamic_cast<Linear*>(layer)) return lin->forward_softmax(cur);
+        if (auto* lin = dynamic_cast<Linear*>(&layer)) return lin->forward_softmax(cur);
       }
-      cur = layer->forward(cur);
+      cur = layer.forward(cur);
+    } else {
+      cur = layer.infer(cur);
     }
     if (tap_index == i && tap_out != nullptr) *tap_out = cur;
     ++i;
@@ -46,22 +64,21 @@ Tensor Sequential::run_forward(const Tensor& x, int tap_index, Tensor* tap_out,
   return fuse_softmax ? tensor::softmax_rows(cur) : cur;
 }
 
+}  // namespace
+
 Tensor Sequential::forward(const Tensor& x) {
-  return run_forward(x, -1, nullptr, tensor::ComputeKernel::kF32, false);
+  return run_layers(*this, x, -1, nullptr, tensor::ComputeKernel::kF32, false);
 }
 
-Tensor Sequential::forward_with_tap(const Tensor& x, int tap_index, Tensor& tap_out) {
-  return forward_with_tap(x, tap_index, tap_out, tensor::ComputeKernel::kF32);
-}
-
-Tensor Sequential::forward_with_tap(const Tensor& x, int tap_index, Tensor& tap_out,
-                                    tensor::ComputeKernel kernel) {
-  FC_REQUIRE(tap_index >= 0 && tap_index < size(), "tap index out of range");
-  return run_forward(x, tap_index, &tap_out, kernel, false);
+Tensor Sequential::infer(const Tensor& x, int tap_index, Tensor* tap_out,
+                         tensor::ComputeKernel kernel) const {
+  FC_REQUIRE(tap_out == nullptr || (tap_index >= 0 && tap_index < size()),
+             "tap index out of range");
+  return run_layers(*this, x, tap_index, tap_out, kernel, false);
 }
 
 Tensor Sequential::forward_probs(const Tensor& x) {
-  return run_forward(x, -1, nullptr, tensor::ComputeKernel::kF32, true);
+  return run_layers(*this, x, -1, nullptr, tensor::ComputeKernel::kF32, true);
 }
 
 Tensor Sequential::backward(const Tensor& grad_out) {

@@ -31,17 +31,19 @@ class Sequential {
   const Layer& layer(int i) const { return *layers_[static_cast<std::size_t>(i)]; }
 
   // Forward fuses Conv2d+ReLU pairs into a single GEMM-with-epilogue step
-  // (bit-identical to running the layers separately).
+  // (bit-identical to running the layers separately) and caches what
+  // backward needs.
   Tensor forward(const Tensor& x);
-  // Forward that additionally copies the output of layer `tap_index` into
-  // `tap_out` (used to record activations at the pruning layer). A tap on a
-  // Conv2d whose ReLU would be fused suppresses that fusion so the tapped
-  // values stay pre-activation. The ComputeKernel overload runs convolutions
-  // under a reduced-precision kernel — opt-in, used only by the defense's
+  // The same computation without caching anything (each layer's const
+  // infer), so one model can serve concurrent callers. Each output row
+  // depends only on its own input row. With `tap_out`, the output of layer
+  // `tap_index` is copied into it (the activations at the pruning layer); a
+  // tap on a Conv2d whose ReLU would be fused suppresses that fusion so the
+  // tapped values stay pre-activation. `kernel` runs the convolutions under
+  // a reduced-precision kernel — opt-in, used only by the defense's
   // activation-profiling scans.
-  Tensor forward_with_tap(const Tensor& x, int tap_index, Tensor& tap_out);
-  Tensor forward_with_tap(const Tensor& x, int tap_index, Tensor& tap_out,
-                          tensor::ComputeKernel kernel);
+  Tensor infer(const Tensor& x, int tap_index = -1, Tensor* tap_out = nullptr,
+               tensor::ComputeKernel kernel = tensor::ComputeKernel::kF32) const;
   // Forward with the classifier head's softmax fused into its GEMM: returns
   // row probabilities, bit-identical to softmax_rows over forward()'s
   // logits. The training loop pairs it with SoftmaxCrossEntropy::forward_probs.
@@ -54,7 +56,7 @@ class Sequential {
   // it; input-gradient consumers (Neural Cleanse) keep backward.
   void backward_params(const Tensor& grad_out);
   // Free every layer's forward cache (Layer::release_cache), so a model
-  // that is done training or scanning holds only its parameters.
+  // that is done training holds only its parameters.
   void release_caches();
 
   void zero_grad();
@@ -72,11 +74,6 @@ class Sequential {
   Sequential clone() const;
 
  private:
-  // Shared driver behind every forward variant: optional tap, per-call conv
-  // kernel, optional fused-softmax head.
-  Tensor run_forward(const Tensor& x, int tap_index, Tensor* tap_out,
-                     tensor::ComputeKernel kernel, bool fuse_softmax);
-
   std::vector<std::unique_ptr<Layer>> layers_;
 };
 

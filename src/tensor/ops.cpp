@@ -370,7 +370,8 @@ namespace {
 // the earlier tap, and a NaN first tap wins its window. The select blends
 // bit patterns under an all-ones/zero mask because GCC will not if-convert a
 // float `?:` under the default -ftrapping-math; this way the x loop
-// vectorizes.
+// vectorizes. kArgmax also stores each winner's flat input index.
+template <bool kArgmax>
 void maxpool2x2(const float* in, int planes, int h, int w, int ho, int wo, float* out,
                 std::int64_t* argmax) {
   const auto w_off = static_cast<std::uint32_t>(w);
@@ -381,7 +382,7 @@ void maxpool2x2(const float* in, int planes, int h, int w, int ho, int wo, float
       const float* __restrict r1 = r0 + w;
       const std::size_t o = (static_cast<std::size_t>(pl) * ho + oy) * wo;
       float* __restrict orow = out + o;
-      std::int64_t* __restrict arow = argmax + o;
+      std::int64_t* __restrict arow = kArgmax ? argmax + o : nullptr;
       for (int ox = 0; ox < wo; ++ox) {
         std::uint32_t best = std::bit_cast<std::uint32_t>(r0[2 * ox]);
         std::uint32_t tap = 0;  // offset of the winner from the window's top-left
@@ -394,7 +395,7 @@ void maxpool2x2(const float* in, int planes, int h, int w, int ho, int wo, float
         take(r1[2 * ox], w_off);
         take(r1[2 * ox + 1], w_off + 1);
         orow[ox] = std::bit_cast<float>(best);
-        arow[ox] = static_cast<std::int64_t>(row0) + 2 * ox + tap;
+        if constexpr (kArgmax) arow[ox] = static_cast<std::int64_t>(row0) + 2 * ox + tap;
       }
     }
   }
@@ -402,7 +403,8 @@ void maxpool2x2(const float* in, int planes, int h, int w, int ho, int wo, float
 
 }  // namespace
 
-MaxPoolResult maxpool2d_forward(const Tensor& input, int kernel, int stride) {
+Tensor maxpool2d_forward(const Tensor& input, int kernel, int stride,
+                         std::vector<std::int64_t>* argmax) {
   FC_REQUIRE(input.shape().rank() == 4, "maxpool input must be [N,C,H,W]");
   FC_REQUIRE(kernel > 0 && stride > 0, "maxpool kernel/stride must be positive");
   const int n = input.shape()[0], c = input.shape()[1], h = input.shape()[2],
@@ -411,13 +413,21 @@ MaxPoolResult maxpool2d_forward(const Tensor& input, int kernel, int stride) {
   const int wo = (w - kernel) / stride + 1;
   FC_REQUIRE(ho > 0 && wo > 0, "maxpool output would be empty");
 
-  MaxPoolResult result{Tensor(Shape{n, c, ho, wo}), {}};
-  result.argmax.resize(result.output.size());
+  Tensor output(Shape{n, c, ho, wo});
+  std::int64_t* am = nullptr;
+  if (argmax != nullptr) {
+    argmax->resize(output.size());
+    am = argmax->data();
+  }
   const auto in = input.data();
-  auto out = result.output.data();
+  auto out = output.data();
   if (kernel == 2 && stride == 2) {
-    maxpool2x2(in.data(), n * c, h, w, ho, wo, out.data(), result.argmax.data());
-    return result;
+    if (am != nullptr) {
+      maxpool2x2<true>(in.data(), n * c, h, w, ho, wo, out.data(), am);
+    } else {
+      maxpool2x2<false>(in.data(), n * c, h, w, ho, wo, out.data(), nullptr);
+    }
+    return output;
   }
 
   // Each window starts from its first tap, so the argmax always lies inside
@@ -442,12 +452,12 @@ MaxPoolResult maxpool2d_forward(const Tensor& input, int kernel, int stride) {
             }
           }
           out[oi] = best;
-          result.argmax[oi] = static_cast<std::int64_t>(best_idx);
+          if (am != nullptr) am[oi] = static_cast<std::int64_t>(best_idx);
         }
       }
     }
   }
-  return result;
+  return output;
 }
 
 Tensor maxpool2d_backward(const Shape& input_shape, const std::vector<std::int64_t>& argmax,

@@ -67,17 +67,15 @@ Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& weight,
                             const std::uint8_t* channel_active = nullptr,
                             bool grad_input = true);
 
-struct MaxPoolResult {
-  Tensor output;
-  // Flat input index of the argmax for every output element, used by backward.
-  std::vector<std::int64_t> argmax;
-};
-
 // Non-overlapping (stride == kernel) and overlapping max pooling; 2×2
 // stride 2 takes a branch-free fast path with the same results. Each window
 // keeps its first maximum in (ky, kx) order and starts from its first tap,
 // so the argmax always lies inside the window and a NaN first tap survives.
-MaxPoolResult maxpool2d_forward(const Tensor& input, int kernel, int stride);
+// When `argmax` is given it is resized to the output's size and receives the
+// flat input index of every output element's maximum, for backward;
+// inference passes none and the kernels skip the index work.
+Tensor maxpool2d_forward(const Tensor& input, int kernel, int stride,
+                         std::vector<std::int64_t>* argmax = nullptr);
 Tensor maxpool2d_backward(const Shape& input_shape, const std::vector<std::int64_t>& argmax,
                           const Tensor& grad_output);
 

@@ -4,12 +4,15 @@
 // are the guarantees that let n_threads be a pure performance knob.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "comm/faulty_network.h"
 #include "common/threadpool.h"
 #include "defense/pipeline.h"
+#include "fl/metrics.h"
 #include "fl/simulation.h"
+#include "nn/model_zoo.h"
 #include "tensor/ops.h"
 #include "test_util.h"
 
@@ -79,6 +82,37 @@ TEST(Determinism, ThreadedDefensePipelineMatchesSerial) {
   EXPECT_EQ(threaded_params, serial_params);
   EXPECT_EQ(threaded_metrics.test_acc, serial_metrics.test_acc);
   EXPECT_EQ(threaded_metrics.attack_acc, serial_metrics.attack_acc);
+}
+
+TEST(Determinism, EvaluateAccuracyIsThreadCountAndBatchSizeInvariant) {
+  common::Rng rng(5);
+  auto model = nn::make_model(nn::Architecture::kMnistCnn, rng);
+  // Labels that the model gets right exactly where i % 3 != 0, so a slice
+  // counted twice or not at all moves the result.
+  const int n = 101;
+  auto images = tensor::Tensor::rand_uniform({n, 1, 20, 20}, rng, 0.0f, 1.0f);
+  const auto preds = tensor::argmax_rows(model.net.infer(images));
+  data::Dataset ds;
+  const std::size_t per_image = 20 * 20;
+  for (int i = 0; i < n; ++i) {
+    tensor::Tensor image({1, 20, 20});
+    std::copy_n(images.data().begin() + static_cast<std::ptrdiff_t>(i * per_image), per_image,
+                image.data().begin());
+    const int p = preds[static_cast<std::size_t>(i)];
+    ds.add(std::move(image), i % 3 != 0 ? p : (p + 1) % 10);
+  }
+  const double want = 67.0 / 101.0;
+
+  auto evaluate = [&](common::ThreadPool* pool, int batch_size) {
+    AmbientPoolGuard guard(pool);
+    return fl::evaluate_accuracy(model.net, ds, batch_size);
+  };
+  EXPECT_EQ(evaluate(nullptr, 64), want);
+  common::ThreadPool one(1), four(4);
+  for (int batch_size : {1, 7, 64}) {
+    EXPECT_EQ(evaluate(&one, batch_size), want) << "1 worker, batch " << batch_size;
+    EXPECT_EQ(evaluate(&four, batch_size), want) << "4 workers, batch " << batch_size;
+  }
 }
 
 TEST(Determinism, Conv2dForwardParallelMatchesSerialExactly) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -391,7 +392,7 @@ TEST(FusedModel, TapOnFusedReluMatchesUnfused) {
   auto ref = fused.clone();
   auto x = tensor::Tensor::rand_uniform(tensor::Shape{2, 1, 20, 20}, rng, 0.0f, 1.0f);
   tensor::Tensor tap_fused;
-  fused.net.forward_with_tap(x, fused.tap_index, tap_fused);
+  fused.net.infer(x, fused.tap_index, &tap_fused);
   tensor::Tensor cur = x;
   tensor::Tensor tap_ref;
   for (int i = 0; i < ref.net.size(); ++i) {
@@ -406,8 +407,8 @@ TEST(FusedModel, QuantizedScanStaysCloseToF32) {
   auto model = make_small_nn(rng);
   auto x = tensor::Tensor::rand_uniform(tensor::Shape{4, 1, 20, 20}, rng, 0.0f, 1.0f);
   tensor::Tensor tap_f32, tap_i8;
-  model.net.forward_with_tap(x, model.tap_index, tap_f32);
-  model.net.forward_with_tap(x, model.tap_index, tap_i8, tensor::ComputeKernel::kInt8);
+  model.net.infer(x, model.tap_index, &tap_f32);
+  model.net.infer(x, model.tap_index, &tap_i8, tensor::ComputeKernel::kInt8);
   ASSERT_EQ(tap_i8.shape(), tap_f32.shape());
   float ref_max = 0.0f;
   for (float v : tap_f32.storage()) ref_max = std::max(ref_max, std::fabs(v));
@@ -417,4 +418,82 @@ TEST(FusedModel, QuantizedScanStaysCloseToF32) {
   for (std::size_t i = 0; i < rv.size(); ++i) {
     EXPECT_NEAR(iv[i], rv[i], 0.05f * ref_max) << i;
   }
+}
+
+// --- cache-free inference ---------------------------------------------------
+// Sequential::infer is the caching forward minus the caches: the same bytes
+// on every architecture, kernel, prune state and tap.
+
+namespace {
+
+// The caching pipeline layer by layer (no fusion): every layer's forward,
+// convolutions under `kernel`; the output of layer `tap` lands in `tapped`.
+tensor::Tensor forward_layers(Sequential& net, const tensor::Tensor& x, int tap,
+                              tensor::Tensor& tapped, tensor::ComputeKernel kernel) {
+  tensor::Tensor cur = x;
+  for (int i = 0; i < net.size(); ++i) {
+    auto* conv = dynamic_cast<Conv2d*>(&net.layer(i));
+    cur = conv != nullptr ? conv->forward_conv(cur, false, kernel) : net.layer(i).forward(cur);
+    if (i == tap) tapped = cur;
+  }
+  return cur;
+}
+
+}  // namespace
+
+class InferMatchesForwardTest : public ::testing::TestWithParam<Architecture> {};
+
+TEST_P(InferMatchesForwardTest, SameBytesForEveryKernelPruneStateAndTap) {
+  Rng rng(21);
+  auto model = make_model(GetParam(), rng);
+  const auto& in = model.input_shape;
+  auto x = tensor::Tensor::rand_uniform(tensor::Shape{3, in[0], in[1], in[2]}, rng, 0.0f, 1.0f);
+  for (bool pruned : {false, true}) {
+    if (pruned) model.net.layer(model.last_conv_index).set_unit_active(1, false);
+    const auto logits = model.net.infer(x);
+    auto ref = model.clone();
+    EXPECT_EQ(logits.storage(), ref.net.forward(x).storage()) << "pruned " << pruned;
+    for (auto kernel : {tensor::ComputeKernel::kF32, tensor::ComputeKernel::kInt8}) {
+      // A tap at the last conv suppresses its ReLU fusion; at the ReLU it
+      // reads the fused epilogue's output.
+      for (int tap : {model.last_conv_index, model.last_conv_index + 1}) {
+        SCOPED_TRACE(testing::Message() << "pruned " << pruned << " kernel "
+                                        << static_cast<int>(kernel) << " tap " << tap);
+        tensor::Tensor got_tap, want_tap;
+        const auto got = model.net.infer(x, tap, &got_tap, kernel);
+        const auto want = forward_layers(ref.net, x, tap, want_tap, kernel);
+        EXPECT_EQ(got.storage(), want.storage());
+        EXPECT_EQ(got_tap.shape(), want_tap.shape());
+        EXPECT_EQ(got_tap.storage(), want_tap.storage());
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllArchitectures, InferMatchesForwardTest,
+                         ::testing::Values(Architecture::kMnistCnn,
+                                           Architecture::kFashionCnn,
+                                           Architecture::kVggSmall,
+                                           Architecture::kSmallNn,
+                                           Architecture::kLargeNn),
+                         [](const auto& info) { return arch_name(info.param); });
+
+TEST(Sequential, InferLeavesNothingForBackward) {
+  Rng rng(22);
+  auto spec = make_mnist_cnn(rng);
+  auto x = tensor::Tensor::rand_uniform(tensor::Shape{2, 1, 20, 20}, rng, 0.0f, 1.0f);
+  const auto logits = spec.net.infer(x);
+  const auto g = tensor::Tensor::ones(logits.shape());
+  for (bool params_only : {false, true}) {
+    try {
+      params_only ? spec.net.backward_params(g) : (void)spec.net.backward(g);
+      ADD_FAILURE() << "backward after infer did not throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("cached forward"), std::string::npos) << e.what();
+    }
+  }
+  // The conv refuses on its own too.
+  auto& conv = spec.net.layer(0);
+  conv.infer(x);
+  EXPECT_THROW(conv.backward(tensor::Tensor::ones(conv.infer(x).shape())), Error);
 }

@@ -186,34 +186,47 @@ TEST(MaxPool, ForwardHandComputed) {
                                5, 6, 7, 8,    //
                                9, 10, 11, 12,  //
                                13, 14, 15, 16});
-  auto result = maxpool2d_forward(x, 2, 2);
-  EXPECT_EQ(result.output.shape(), (Shape{1, 1, 2, 2}));
-  EXPECT_EQ(result.output.storage(), (std::vector<float>{6, 8, 14, 16}));
+  auto out = maxpool2d_forward(x, 2, 2);
+  EXPECT_EQ(out.shape(), (Shape{1, 1, 2, 2}));
+  EXPECT_EQ(out.storage(), (std::vector<float>{6, 8, 14, 16}));
 }
 
 TEST(MaxPool, BackwardRoutesToArgmax) {
   Tensor x(Shape{1, 1, 2, 2}, {1, 9, 3, 4});
-  auto result = maxpool2d_forward(x, 2, 2);
+  std::vector<std::int64_t> argmax;
+  maxpool2d_forward(x, 2, 2, &argmax);
   Tensor gy(Shape{1, 1, 1, 1}, {5});
-  auto gx = maxpool2d_backward(x.shape(), result.argmax, gy);
+  auto gx = maxpool2d_backward(x.shape(), argmax, gy);
   EXPECT_EQ(gx.storage(), (std::vector<float>{0, 5, 0, 0}));
 }
 
 TEST(MaxPool, OverlappingStride) {
   Tensor x(Shape{1, 1, 3, 3}, {1, 2, 3, 4, 5, 6, 7, 8, 9});
-  auto result = maxpool2d_forward(x, 2, 1);
-  EXPECT_EQ(result.output.shape(), (Shape{1, 1, 2, 2}));
-  EXPECT_EQ(result.output.storage(), (std::vector<float>{5, 6, 8, 9}));
+  auto out = maxpool2d_forward(x, 2, 1);
+  EXPECT_EQ(out.shape(), (Shape{1, 1, 2, 2}));
+  EXPECT_EQ(out.storage(), (std::vector<float>{5, 6, 8, 9}));
 }
 
 namespace {
 
+struct PoolResult {
+  Tensor output;
+  std::vector<std::int64_t> argmax;
+};
+
+// maxpool2d_forward with its argmax.
+PoolResult maxpool_with_argmax(const Tensor& x, int kernel, int stride) {
+  PoolResult r;
+  r.output = maxpool2d_forward(x, kernel, stride, &r.argmax);
+  return r;
+}
+
 // The generic window loop written out independently: first maximum in
 // (ky, kx) order, seeded with the window's first tap.
-MaxPoolResult maxpool_reference(const Tensor& x, int kernel, int stride) {
+PoolResult maxpool_reference(const Tensor& x, int kernel, int stride) {
   const int n = x.shape()[0], c = x.shape()[1], h = x.shape()[2], w = x.shape()[3];
   const int ho = (h - kernel) / stride + 1, wo = (w - kernel) / stride + 1;
-  MaxPoolResult r{Tensor(Shape{n, c, ho, wo}), {}};
+  PoolResult r{Tensor(Shape{n, c, ho, wo}), {}};
   for (int b = 0; b < n; ++b) {
     for (int ch = 0; ch < c; ++ch) {
       for (int oy = 0; oy < ho; ++oy) {
@@ -258,12 +271,17 @@ TEST(MaxPool, TwoByTwoPathMatchesGenericLoopBitExactly) {
     Tensor x(Shape{3, 4, h, w});
     for (auto& v : x.storage()) v = static_cast<float>(rng.int_range(0, 3)) - 1.0f;
     x.storage()[1] = -0.0f;  // a signed-zero tie with the +0 entries
-    const auto got = maxpool2d_forward(x, 2, 2);
+    const auto got = maxpool_with_argmax(x, 2, 2);
     const auto want = maxpool_reference(x, 2, 2);
+    const auto no_argmax = maxpool2d_forward(x, 2, 2);  // the inference kernel
     ASSERT_EQ(got.output.shape(), want.output.shape());
+    ASSERT_EQ(no_argmax.shape(), want.output.shape());
     EXPECT_EQ(got.argmax, want.argmax);
     for (std::size_t i = 0; i < got.output.size(); ++i) {
       ASSERT_EQ(std::bit_cast<std::uint32_t>(got.output.data()[i]),
+                std::bit_cast<std::uint32_t>(want.output.data()[i]))
+          << "element " << i;
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(no_argmax.data()[i]),
                 std::bit_cast<std::uint32_t>(want.output.data()[i]))
           << "element " << i;
     }
@@ -291,7 +309,7 @@ TEST(MaxPool, DegenerateWindowsKeepArgmaxInsideTheWindow) {
     for (int y = k; y < h; ++y) {
       for (int xx = k; xx < w; ++xx) x.at(0, 0, y, xx) = 2.0f;  // (1,1): ordinary
     }
-    const auto r = maxpool2d_forward(x, k, k);
+    const auto r = maxpool_with_argmax(x, k, k);
     ASSERT_EQ(r.argmax.size(), 4u);
     for (int oy = 0; oy < 2; ++oy) {
       for (int ox = 0; ox < 2; ++ox) {

@@ -1,9 +1,13 @@
 // Million-client scale machinery: streaming aggregation equivalence against
 // a buffered reference built here from the exchange's sink, virtual-client
-// determinism and residency bounds, and the peak-RSS probe (DESIGN.md §14).
+// determinism and residency bounds, the peak-RSS probe (DESIGN.md §14), and
+// the pinned malloc thresholds.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <cstring>
 #include <optional>
 #include <set>
 
@@ -464,4 +468,49 @@ TEST(PeakRss, ProbeReportsAndIsMonotone) {
   const std::size_t after = common::peak_rss_bytes();
   EXPECT_GE(after, before);
   EXPECT_GT(common::current_rss_bytes(), 0u);
+}
+
+TEST(PeakRss, NeverReadsBelowAnEarlierRead) {
+  // Grow and shrink the heap between reads: RSS falls after each free, and
+  // the peak must not follow it down.
+  std::size_t last = common::peak_rss_bytes();
+  for (int i = 0; i < 20; ++i) {
+    {
+      std::vector<char> ballast(static_cast<std::size_t>(1 + i % 4) << 22, 1);
+      volatile char sink = ballast[ballast.size() / 2];
+      (void)sink;
+    }
+    const std::size_t now = common::peak_rss_bytes();
+    ASSERT_GE(now, last) << "read " << i;
+    last = now;
+  }
+}
+
+TEST(MallocThresholds, FreedBatchMemoryIsReusedWithoutPageFaults) {
+#if !defined(__GLIBC__)
+  GTEST_SKIP() << "the thresholds are glibc's";
+#endif
+  const char* tunables = std::getenv("GLIBC_TUNABLES");
+  if (tunables != nullptr && std::strstr(tunables, "glibc.malloc.") != nullptr) {
+    GTEST_SKIP() << "GLIBC_TUNABLES sets the malloc options";
+  }
+  common::pin_malloc_thresholds();
+  // One "batch": three 7 MiB tensors live at once, then all freed. Under
+  // glibc's dynamic thresholds the 21 MiB freed top can be trimmed and
+  // every batch faults its ~5,400 pages back in.
+  auto batch = [] {
+    std::vector<std::vector<float>> live;
+    for (int t = 0; t < 3; ++t) live.emplace_back(7u << 18, 1.0f);
+    volatile float sink = live[2][live[2].size() / 2];
+    (void)sink;
+  };
+  auto minor_faults = [] {
+    rusage ru{};
+    getrusage(RUSAGE_THREAD, &ru);
+    return ru.ru_minflt;
+  };
+  batch();
+  const long before = minor_faults();
+  for (int i = 0; i < 8; ++i) batch();
+  EXPECT_LT(minor_faults() - before, 512);
 }
