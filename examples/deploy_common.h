@@ -2,9 +2,9 @@
 // (fedcleanse_scheduler / fedcleanse_server / fedcleanse_client).
 //
 // Byte-identity across processes hinges on every node building the *same*
-// SimulationConfig: the server's Simulation and each client's replica must
-// make identical RNG draws (data → server model → validation → per-client
-// models/seeds). Every node therefore parses the same flag rows (flags())
+// SimulationConfig: the server's Simulation and each client's must make
+// identical RNG draws (data → server model → validation → per-client
+// weights/seeds). Every node therefore parses the same flag rows (flags())
 // and derives its config through make_simulation_config — a flag passed to
 // the server but not the clients is a silent divergence, so the launch
 // scripts pass one flag set to every node.

@@ -2,12 +2,12 @@
 // (DESIGN.md §15).
 //
 // The process builds the *same* Simulation the server builds (identical
-// flags → identical RNG draws → identical local dataset, model replica, and
+// flags → identical RNG draws → identical local dataset, client record and
 // training stream for every id), discovers the server through the scheduler,
 // and then answers whatever protocol messages arrive on the wire by routing
-// them through the ordinary Client::handle_pending — the same code path the
-// in-process simulation exercises. It exits when the server broadcasts
-// kShutdown.
+// them through the ordinary Client::handle_one on the Simulation's scratch
+// replica — the same code path the in-process simulation exercises. It
+// exits when the server broadcasts kShutdown.
 //
 // Robustness: the transport's io thread owns the link. If the connection
 // drops (server restart, transient network failure) it reconnects and
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   int rc = 0;
   try {
     // Register first (the server's barrier counts registrations), then build
-    // the replica population while the server builds its own.
+    // the client population while the server builds its own.
     comm::SocketClientNetwork net(cfg.n_clients, id, deploy::make_transport(opt),
                                   opt.scheduler_host,
                                   static_cast<std::uint16_t>(opt.scheduler_port));
@@ -110,9 +110,9 @@ int main(int argc, char** argv) {
     // to this client's state *before* training round R, so a resumed server's
     // kRoundSync can roll us back to exactly the round it replays from. The
     // manager persists the same states across our own crashes, keyed by
-    // (run_seed, id) so a snapshot can never resume as a different replica.
+    // (run_seed, id) so a snapshot can never resume as a different client.
     std::uint32_t epoch = 0;
-    int position = 0;  // training rounds this replica has locally completed
+    int position = 0;  // training rounds this client has locally completed
     std::map<int, std::vector<std::uint8_t>> ring;
     std::unique_ptr<fl::CheckpointManager> manager;
     if (!opt.run.checkpoint_dir.empty()) {
@@ -214,7 +214,7 @@ int main(int argc, char** argv) {
         const bool training_broadcast =
             msg->type == comm::MessageType::kModelBroadcast &&
             msg->round < static_cast<std::uint32_t>(cfg.rounds);
-        self.handle_one(net, *msg);
+        self.handle_one(net, *msg, sim.replica());
         if (training_broadcast) {
           const int next_round = static_cast<int>(msg->round) + 1;
           common::ByteWriter w;

@@ -38,11 +38,22 @@ fi
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${1:-$REPO_ROOT/build}"
 WORK="$(mktemp -d)"
+# On failure the work directory stays for the post-mortem, and the restarted
+# scheduler's output (step 3) is dumped: it says whether the restart bound its
+# port and loaded the registry.
 cleanup() {
+  local rc=$?
   trap '' TERM  # don't let our own group-kill re-enter this handler
   kill -s TERM -- "-$$" 2>/dev/null
   wait 2>/dev/null
-  rm -rf "$WORK"
+  if [ "$rc" -eq 0 ]; then
+    rm -rf "$WORK"
+    return
+  fi
+  if [ -f "$WORK/sk-sched-restarted.log" ]; then
+    sed -e 's/^/  restarted scheduler: /' "$WORK/sk-sched-restarted.log" >&2
+  fi
+  echo "server chaos: work directory kept at $WORK" >&2
 }
 trap cleanup EXIT
 
@@ -143,9 +154,24 @@ echo "  server failover: model byte-identical, journal supersession clean"
 
 echo "[3/3] SIGKILL the scheduler mid-round; restart with --registry --resume"
 # The scheduler must come back on the *same* port (every node was told it on
-# the command line), so pick a free one up front instead of --port-file.
-SPORT="$(python3 -c 'import socket; s = socket.socket(); s.bind(("127.0.0.1", 0));
-print(s.getsockname()[1]); s.close()')"
+# the command line), so pick a free one up front instead of --port-file. It
+# comes from below the ephemeral range: a port the kernel hands out for
+# outgoing connections can be taken while the scheduler is down, and a
+# restart once failed with "bind port …: Address already in use".
+SPORT="$(python3 - <<'EOF'
+import random, socket
+low = int(open("/proc/sys/net/ipv4/ip_local_port_range").read().split()[0])
+for port in random.sample(range(max(1024, low - 8192), low), 64):
+    with socket.socket() as s:
+        try:
+            s.bind(("127.0.0.1", port))
+        except OSError:
+            continue
+    print(port)
+    break
+EOF
+)"
+[ -n "$SPORT" ] || { echo "no free port below the ephemeral range" >&2; exit 1; }
 "$BUILD/examples/fedcleanse_scheduler" --port "$SPORT" \
   --registry "$WORK/registry.txt" >"$WORK/sk-sched.log" 2>&1 &
 SCHED=$!
@@ -160,6 +186,9 @@ done
 SERVER=$!
 wait_for_round "$WORK/sk-server.jsonl" "$SERVER"
 kill -9 "$SCHED"
+# Reap it first: until the kernel has torn the process down, its listening
+# socket still holds the port.
+wait "$SCHED" 2>/dev/null || true
 echo "  scheduler killed after a committed round; restarting on port $SPORT"
 "$BUILD/examples/fedcleanse_scheduler" --port "$SPORT" \
   --registry "$WORK/registry.txt" --resume >"$WORK/sk-sched-restarted.log" 2>&1 &

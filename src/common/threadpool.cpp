@@ -4,7 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <string>
 
+#include "common/error.h"
 #include "obs/metrics.h"
 
 namespace fedcleanse::common {
@@ -14,6 +16,7 @@ namespace {
 // Set for the lifetime of each worker thread so parallel_for can detect
 // re-entrant calls from its own pool and run them inline.
 thread_local const ThreadPool* tl_worker_pool = nullptr;
+thread_local int tl_worker_index = -1;
 
 std::atomic<ThreadPool*> g_ambient_pool{nullptr};
 
@@ -25,7 +28,7 @@ ThreadPool::ThreadPool(std::size_t n_threads) {
   }
   workers_.reserve(n_threads);
   for (std::size_t i = 0; i < n_threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, i] { worker_loop(static_cast<int>(i)); });
   }
 }
 
@@ -40,8 +43,11 @@ ThreadPool::~ThreadPool() {
 
 bool ThreadPool::on_worker_thread() const { return tl_worker_pool == this; }
 
-void ThreadPool::worker_loop() {
+int ThreadPool::worker_index() const { return on_worker_thread() ? tl_worker_index : -1; }
+
+void ThreadPool::worker_loop(int index) {
   tl_worker_pool = this;
+  tl_worker_index = index;
   for (;;) {
     std::function<void()> task;
     {
@@ -108,13 +114,28 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
 }
 
 std::size_t resolve_n_threads(std::size_t configured) {
+  const std::string cap = std::to_string(kMaxThreads);
   if (const char* env = std::getenv("FEDCLEANSE_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v >= 0) configured = static_cast<std::size_t>(v);
+    const std::string text(env);
+    if (text.empty() || text.find_first_not_of("0123456789") != std::string::npos) {
+      throw ConfigError("FEDCLEANSE_THREADS='" + text + "' is not a thread count (digits only)");
+    }
+    // Saturate just past the cap, so no digit string can overflow.
+    std::size_t value = 0;
+    for (const char ch : text) {
+      value = std::min(value * 10 + static_cast<std::size_t>(ch - '0'), kMaxThreads + 1);
+    }
+    if (value > kMaxThreads) {
+      throw ConfigError("FEDCLEANSE_THREADS=" + text + " exceeds the cap of " + cap + " threads");
+    }
+    configured = value;
+  }
+  if (configured > kMaxThreads) {
+    throw ConfigError("n_threads=" + std::to_string(configured) + " exceeds the cap of " + cap +
+                      " threads");
   }
   if (configured == 0) {
-    configured = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    configured = std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1, kMaxThreads);
   }
   return configured;
 }

@@ -34,6 +34,9 @@ class ThreadPool {
 
   // True when the calling thread is one of this pool's workers.
   bool on_worker_thread() const;
+  // The calling worker's index in [0, size()), or -1 when the caller is not
+  // one of this pool's workers (per-worker scratch state keys on it).
+  int worker_index() const;
 
   // Enqueue a task; the returned future rethrows any exception.
   template <typename F>
@@ -59,7 +62,7 @@ class ThreadPool {
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
-  void worker_loop();
+  void worker_loop(int index);
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_;
@@ -68,8 +71,14 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
+// Largest pool resolve_n_threads accepts: a typo such as 40000 must fail
+// loudly instead of starting that many threads.
+inline constexpr std::size_t kMaxThreads = 1024;
+
 // Resolve a configured thread count: FEDCLEANSE_THREADS overrides when set,
-// then 0 means hardware_concurrency; the result is always ≥ 1.
+// then 0 means hardware_concurrency (capped at kMaxThreads); the result is
+// always ≥ 1. The variable must be all digits; anything else, or a value
+// (configured or from the variable) above kMaxThreads, throws ConfigError.
 std::size_t resolve_n_threads(std::size_t configured);
 
 // Process-wide ambient pool, consumed by the tensor kernels. nullptr (the

@@ -17,7 +17,7 @@ std::vector<std::vector<std::uint8_t>> anticipate_prune_masks(Simulation& sim,
   // of the global dormancy ordering).
   std::vector<double> totals(static_cast<std::size_t>(units), 0.0);
   for (int c : sim.protocol_client_ids()) {
-    auto means = sim.client(c).activation_means(params);
+    auto means = sim.client(c).activation_means(sim.replica(), params);
     FC_REQUIRE(static_cast<int>(means.size()) == units, "activation width mismatch");
     for (std::size_t i = 0; i < totals.size(); ++i) totals[i] += means[i];
   }

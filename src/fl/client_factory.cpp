@@ -17,12 +17,10 @@ std::uint64_t derive_seed(std::uint64_t root, std::uint64_t k) {
 }  // namespace
 
 ClientFactory::ClientFactory(const SimulationConfig& config, data::Dataset full_train,
-                             nn::ModelSpec template_model, std::uint64_t partition_seed,
-                             std::uint64_t label_root, std::uint64_t data_root,
-                             std::uint64_t seed_root)
+                             std::uint64_t partition_seed, std::uint64_t label_root,
+                             std::uint64_t data_root, std::uint64_t seed_root)
     : config_(config),
       full_train_(std::move(full_train)),
-      template_model_(std::move(template_model)),
       label_root_(label_root),
       data_root_(data_root),
       seed_root_(seed_root) {
@@ -89,8 +87,7 @@ Client ClientFactory::make_client(int id) const {
   }
   FC_REQUIRE(!local.empty(), "virtual client got no data — raise samples_per_class_train");
 
-  auto spec = template_model_.clone();
-  Client client(id, std::move(spec), std::move(local), config_.train,
+  Client client(id, std::move(local), config_.train,
                 derive_seed(seed_root_, static_cast<std::uint64_t>(id)));
   if (id < config_.n_attackers) {
     AttackSpec attack = config_.attack;

@@ -4,8 +4,7 @@
 // a client is actually sampled into a round's cohort (DESIGN.md §14).
 //
 // The factory owns the full synthesized training pool, the per-label sample
-// pools (shuffled once from the partition seed), one template model replica,
-// and three seed roots drawn from the simulation RNG at construction. Every
+// pools (shuffled once from the partition seed), and three seed roots drawn from the simulation RNG at construction. Every
 // per-client quantity is a pure function of (root, id): materialize → evict →
 // re-materialize yields the same client every time, which is what lets the
 // run snapshot store only the resident cohort plus the factory roots instead
@@ -31,15 +30,12 @@ struct SimulationConfig;
 
 class ClientFactory {
  public:
-  // `full_train` is the complete synthesized training pool; `template_model`
-  // provides the architecture (weights are irrelevant: every protocol
-  // operation syncs to the global parameters before use). `partition_seed`
+  // `full_train` is the complete synthesized training pool. `partition_seed`
   // shuffles the per-label pools; the three roots salt the per-client
   // derivations.
   ClientFactory(const SimulationConfig& config, data::Dataset full_train,
-                nn::ModelSpec template_model, std::uint64_t partition_seed,
-                std::uint64_t label_root, std::uint64_t data_root,
-                std::uint64_t seed_root);
+                std::uint64_t partition_seed, std::uint64_t label_root,
+                std::uint64_t data_root, std::uint64_t seed_root);
 
   // Build client `id` from scratch: O(samples_per_client), independent of N
   // and of every other client.
@@ -53,7 +49,6 @@ class ClientFactory {
  private:
   const SimulationConfig& config_;
   data::Dataset full_train_;
-  nn::ModelSpec template_model_;
   std::vector<data::BackdoorPattern> dba_patterns_;
   std::vector<std::vector<std::size_t>> label_pools_;  // per label, shuffled
   int samples_per_client_ = 0;

@@ -22,8 +22,10 @@ namespace fs = std::filesystem;
 constexpr std::uint32_t kMagic = 0x46435253;  // "FCRS"
 // v5: snapshot epoch for distributed failover. v6: the header checksum and
 // the in-flight messages' stored checksums are XXH64 (FNV-1a before), so a v5
-// file is refused by version, not by a misleading checksum failure.
-constexpr std::uint32_t kVersion = 6;
+// file is refused by version, not by a misleading checksum failure. v7: a
+// client is its record (fl::ClientState: RNG, lr, masks), with no model
+// parameters.
+constexpr std::uint32_t kVersion = 7;
 // magic + version + checksum + payload length prefix.
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 4;
 

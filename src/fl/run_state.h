@@ -2,8 +2,8 @@
 //
 // A RunSnapshot captures an entire run at a round boundary: which stage was
 // executing ("train" or "finetune"), the full Simulation state (round
-// position, RNG streams, server model + reputation, every client, the wire
-// including fault state), and an opaque stage-progress payload owned by the
+// position, RNG streams, server model + reputation, every client record, the
+// wire including fault state), and an opaque stage-progress payload owned by the
 // defense layer. CheckpointManager writes snapshots atomically (tmp + fsync
 // + rename) with N-generation rotation, and falls back a generation when the
 // newest file is truncated or bit-flipped. A run killed at any point and
@@ -78,7 +78,7 @@ void resume_simulation(Simulation& sim, const RunSnapshot& snap);
 
 // Server-scope snapshot for the remote deployment: captures only the state
 // that evolves on the server node (round cursor, protocol RNG, server model +
-// reputation, per-round history/exchange stats) — the frozen client replicas
+// reputation, per-round history/exchange stats) — the stand-in clients
 // are rebuilt from the config at restart and the live clients re-synchronized
 // via kRoundSync. stage_state carries the run seed so a snapshot can never
 // resume under a different seed.
@@ -92,10 +92,10 @@ RunSnapshot make_server_snapshot(const Simulation& sim, int next_round,
 void resume_server_simulation(Simulation& sim, const RunSnapshot& snap,
                               std::uint32_t new_epoch);
 
-// One client process's own evolving state (model, RNG stream, learning rate,
-// anticipated masks), keyed by (run_seed, client_id): restoring under a
-// different seed or id throws CheckpointError instead of silently producing
-// a divergent replica.
+// One client process's own evolving state (its ClientState record: RNG
+// stream, learning rate, prune and anticipated masks), keyed by
+// (run_seed, client_id): restoring under a different seed or id throws
+// CheckpointError instead of silently producing a divergent client.
 RunSnapshot make_client_snapshot(const Client& client, std::uint64_t run_seed,
                                  int client_id, int next_round, std::uint32_t epoch);
 void restore_client_snapshot(Client& client, const RunSnapshot& snap,

@@ -31,6 +31,7 @@ Simulation::Simulation(SimulationConfig config, comm::Network* remote_net)
       rng_(config_.seed) {
   common::pin_malloc_thresholds();
   common::set_ambient_pool(pool_.get());
+  replicas_.resize(pool_->size() + 1);
   FC_REQUIRE(config_.n_clients > 0, "need at least one client");
   FC_REQUIRE(config_.n_attackers >= 0 && config_.n_attackers <= config_.n_clients,
              "attacker count out of range");
@@ -120,11 +121,15 @@ Simulation::Simulation(SimulationConfig config, comm::Network* remote_net)
   } else {
     net_ = std::make_unique<comm::Network>(config_.n_clients);
   }
-  auto server_model = nn::make_model(config_.arch, rng_);
-  if (config_.last_conv_weight_decay > 0.0) {
-    server_model.net.layer(server_model.last_conv_index).weight_decay =
-        config_.last_conv_weight_decay;
-  }
+  // Every model drawn here carries the run's last-conv L2 penalty (Fig 10).
+  auto draw_model = [&] {
+    auto spec = nn::make_model(config_.arch, rng_);
+    if (config_.last_conv_weight_decay > 0.0) {
+      spec.net.layer(spec.last_conv_index).weight_decay = config_.last_conv_weight_decay;
+    }
+    return spec;
+  };
+  auto server_model = draw_model();
   // Server validation set: an independent draw (the paper's "small
   // validation set" assumption).
   data::SynthConfig val_cfg{config_.samples_per_class_test, rng_.next_u64(),
@@ -135,18 +140,13 @@ Simulation::Simulation(SimulationConfig config, comm::Network* remote_net)
                                      config_.server);
 
   if (virtual_mode_) {
-    // One template replica carries the architecture; per-client weights are
-    // irrelevant (every protocol step syncs to the global parameters first).
-    auto template_model = nn::make_model(config_.arch, rng_);
-    if (config_.last_conv_weight_decay > 0.0) {
-      template_model.net.layer(template_model.last_conv_index).weight_decay =
-          config_.last_conv_weight_decay;
-    }
+    // The replica template carries the architecture; its weights are
+    // irrelevant (every client step syncs to the global parameters first).
+    replica_template_ = draw_model();
     const std::uint64_t label_root = rng_.next_u64();
     const std::uint64_t data_root = rng_.next_u64();
     const std::uint64_t seed_root = rng_.next_u64();
-    factory_ = std::make_unique<ClientFactory>(config_, std::move(full_train),
-                                               std::move(template_model), part_seed,
+    factory_ = std::make_unique<ClientFactory>(config_, std::move(full_train), part_seed,
                                                label_root, data_root, seed_root);
     return;
   }
@@ -159,12 +159,13 @@ Simulation::Simulation(SimulationConfig config, comm::Network* remote_net)
 
   clients_.reserve(static_cast<std::size_t>(config_.n_clients));
   for (int c = 0; c < config_.n_clients; ++c) {
-    auto spec = nn::make_model(config_.arch, rng_);
-    if (config_.last_conv_weight_decay > 0.0) {
-      spec.net.layer(spec.last_conv_index).weight_decay = config_.last_conv_weight_decay;
-    }
-    Client client(c, std::move(spec), std::move(locals[static_cast<std::size_t>(c)]),
-                  config_.train, rng_.next_u64());
+    // Clients own no model, but each one's initial weights are drawn so that
+    // every later draw matches the reference sequence; the first draw
+    // becomes the replica template, the rest are dropped.
+    auto initial = draw_model();
+    if (c == 0) replica_template_ = std::move(initial);
+    Client client(c, std::move(locals[static_cast<std::size_t>(c)]), config_.train,
+                  rng_.next_u64());
     if (c < config_.n_attackers) {
       AttackSpec spec_c = config_.attack;
       if (!local_patterns.empty()) {
@@ -220,15 +221,20 @@ std::size_t Simulation::resident_capacity(std::size_t needed) const {
   return std::max(cap, needed);
 }
 
+Replica& Simulation::replica() {
+  auto& slot = replicas_[static_cast<std::size_t>(pool_->worker_index() + 1)];
+  if (!slot) slot = std::make_unique<Replica>(replica_template_);
+  return *slot;
+}
+
+std::size_t Simulation::live_replicas() const {
+  return static_cast<std::size_t>(std::count_if(
+      replicas_.begin(), replicas_.end(), [](const auto& r) { return r != nullptr; }));
+}
+
 void Simulation::evict(int id) {
   auto it = resident_.find(id);
-  Client& client = *slab_[it->second];
-  ClientPersist persist;
-  persist.rng = client.rng_state();
-  persist.lr = client.lr();
-  persist.prune_masks = client.model().net.prune_masks();
-  persist.anticipated_masks = client.anticipated_masks();
-  ledger_.insert_or_assign(id, std::move(persist));
+  ledger_.insert_or_assign(id, slab_[it->second]->state());
   slab_[it->second].reset();
   free_slots_.push_back(it->second);
   resident_.erase(it);
@@ -238,15 +244,7 @@ void Simulation::materialize(int id) {
   Client client = factory_->make_client(id);
   auto it = ledger_.find(id);
   if (it != ledger_.end()) {
-    ClientPersist& persist = it->second;
-    client.restore_rng(persist.rng);
-    client.set_lr(persist.lr);
-    if (!persist.prune_masks.empty()) {
-      client.model().net.set_prune_masks(persist.prune_masks);
-    }
-    if (!persist.anticipated_masks.empty()) {
-      client.set_anticipated_masks(std::move(persist.anticipated_masks));
-    }
+    client.restore(std::move(it->second));
     ledger_.erase(it);
   }
   std::size_t slot;
@@ -292,7 +290,7 @@ void Simulation::ensure_resident(const std::vector<int>& ids) {
 
 void Simulation::dispatch_clients(const std::vector<int>& ids) {
   // Remote deployment: the cohort trains in other processes, driven by the
-  // frames the request phase already put on the wire. The local replicas are
+  // frames the request phase already put on the wire. The local clients are
   // RNG stand-ins and must never consume (or answer) protocol traffic.
   if (remote_net_ != nullptr) return;
   // Open a new delivery phase first: messages delayed during an earlier phase
@@ -307,7 +305,7 @@ void Simulation::dispatch_clients(const std::vector<int>& ids) {
   pool_->parallel_for(ids.size(), [&](std::size_t i) {
     obs::Span span("client.dispatch", "fl");
     span.set_arg("client", ids[i]);
-    resident_client(ids[i]).handle_pending(*net_);
+    resident_client(ids[i]).handle_pending(*net_, replica());
   });
 }
 
@@ -539,14 +537,9 @@ void Simulation::save_state(common::ByteWriter& w) const {
       slab_[slot]->save_state(w);
     }
     w.write_u32(static_cast<std::uint32_t>(ledger_.size()));
-    for (const auto& [id, persist] : ledger_) {
+    for (const auto& [id, state] : ledger_) {
       w.write_i32(id);
-      common::write_rng_state(w, persist.rng);
-      w.write_f64(persist.lr);
-      w.write_u32(static_cast<std::uint32_t>(persist.prune_masks.size()));
-      for (const auto& mask : persist.prune_masks) w.write_u8_vector(mask);
-      w.write_u32(static_cast<std::uint32_t>(persist.anticipated_masks.size()));
-      for (const auto& mask : persist.anticipated_masks) w.write_u8_vector(mask);
+      write_client_state(w, state);
     }
   }
   const bool faulty = dynamic_cast<const comm::FaultyNetwork*>(net_.get()) != nullptr;
@@ -591,20 +584,7 @@ void Simulation::restore_state(common::ByteReader& r) {
         throw CheckpointError("run snapshot ledger names client " + std::to_string(id) +
                               " outside the population");
       }
-      ClientPersist persist;
-      persist.rng = common::read_rng_state(r);
-      persist.lr = r.read_f64();
-      const std::uint32_t n_prune = r.read_u32();
-      persist.prune_masks.reserve(n_prune);
-      for (std::uint32_t m = 0; m < n_prune; ++m) {
-        persist.prune_masks.push_back(r.read_u8_vector());
-      }
-      const std::uint32_t n_anticipated = r.read_u32();
-      persist.anticipated_masks.reserve(n_anticipated);
-      for (std::uint32_t m = 0; m < n_anticipated; ++m) {
-        persist.anticipated_masks.push_back(r.read_u8_vector());
-      }
-      ledger_.insert_or_assign(id, std::move(persist));
+      ledger_.insert_or_assign(id, read_client_state(r));
     }
   }
   const bool faulty = r.read_bool();

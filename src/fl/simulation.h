@@ -13,6 +13,10 @@
 //    slab, with evicted clients' evolving state (RNG position, learning
 //    rate, masks) parked in a small per-id ledger.
 //
+// Clients own no model. Client work runs on scratch replicas, one per
+// thread that runs it (pool workers and the coordinating thread), cloned
+// lazily from one template.
+//
 // The defense pipeline (defense/pipeline.h) operates on a finished
 // Simulation: it reuses the same clients for the pruning protocol and
 // fine-tuning rounds.
@@ -88,8 +92,8 @@ struct SimulationConfig {
   // Client storage engine; see ClientResidency.
   ClientResidency residency = ClientResidency::kAuto;
   // Virtual mode: resident-slab capacity (0 = derived from the cohort and
-  // defense committee sizes). The per-round memory bound is
-  // O(model · max_resident_clients), independent of n_clients.
+  // defense committee sizes). Residents hold data and a small record, no
+  // model, so memory stays independent of n_clients.
   int max_resident_clients = 0;
   // Virtual mode: size of the deterministic strided committee that stands in
   // for "all clients" in the defense protocol (pruning reports, mask
@@ -152,8 +156,9 @@ class Simulation {
   // SocketServerNetwork) and dispatch_clients is a no-op — the cohort trains
   // in other processes. The constructor still builds the full local client
   // population so the RNG draw sequence (data → server model → validation →
-  // per-client models/seeds) matches the in-process reference draw for draw;
-  // the replicas are simply never dispatched. Remote mode requires the
+  // per-client initial weights/seeds) matches the in-process reference draw
+  // for draw; these stand-in clients hold data and a record but no model,
+  // and are never dispatched. Remote mode requires the
   // materialized engine and a fault-free config (real processes provide the
   // faults); checkpointing uses server-scope snapshots (DESIGN.md §18)
   // instead of the full-run format.
@@ -180,7 +185,7 @@ class Simulation {
   // The fault-injection wrapper, or nullptr when running on a perfect wire.
   comm::FaultyNetwork* faulty_network();
   // True when the round protocol runs over an external transport and the
-  // local client replicas are RNG stand-ins only.
+  // local clients are RNG stand-ins only.
   bool remote() const { return remote_net_ != nullptr; }
   const SimulationConfig& config() const { return config_; }
 
@@ -206,11 +211,19 @@ class Simulation {
   // ambient pool for the tensor kernels while this Simulation is alive).
   common::ThreadPool& pool() { return *pool_; }
 
+  // The calling thread's scratch replica for client work: one per pool
+  // worker plus one for the coordinating thread, cloned from the template on
+  // first use. Call only from the coordinating thread or a pool() worker.
+  Replica& replica();
+  // Replicas cloned so far (coordinating thread only, between tasks).
+  std::size_t live_replicas() const;
+
   // Drain each listed client's pending server messages, one client per pool
   // task, sharded over contiguous blocks of the (sorted) cohort. Clients
-  // share no mutable state (own model, data, RNG, channel), and the server's
-  // collect loops fix the aggregation order afterwards, so the result is
-  // identical to a serial drain.
+  // share no mutable state (own data, record, RNG, channel; each task runs
+  // on its worker's replica), and the server's collect loops fix the
+  // aggregation order afterwards, so the result is identical to a serial
+  // drain.
   void dispatch_clients(const std::vector<int>& ids);
 
   const data::Dataset& test_set() const { return test_; }
@@ -257,8 +270,8 @@ class Simulation {
   // --- distributed failover (DESIGN.md §18) --------------------------------
   // Server-node scope only: round cursor, protocol RNG stream, exchange
   // stats, round history, and the server (model + reputation). Excludes the
-  // client replicas (rebuilt from config at restart; never dispatched in
-  // remote mode) and the transport (live sockets cannot be snapshotted —
+  // clients (rebuilt from config at restart; never dispatched in remote
+  // mode) and the transport (live sockets cannot be snapshotted —
   // clients reconnect and are rolled back via kRoundSync). Unlike
   // save_state/restore_state, valid in remote mode; also usable in-process
   // (the unit tests do).
@@ -271,21 +284,11 @@ class Simulation {
   void set_run_epoch(std::uint32_t epoch) { run_epoch_ = epoch; }
 
  private:
-  // Evicted-client state that must survive re-materialization. Everything
-  // else a virtual client holds is a pure function of (run_seed, id) or is
-  // re-synced from the global model at the next protocol step.
-  struct ClientPersist {
-    common::RngState rng{};
-    double lr = 0.0;
-    std::vector<std::vector<std::uint8_t>> prune_masks;
-    std::vector<std::vector<std::uint8_t>> anticipated_masks;
-  };
-
   // Direct storage access; the id must already be resident in virtual mode.
   Client& resident_client(int id);
-  // Move client `id` out of the slab into the ledger (virtual mode).
+  // Move client `id`'s record out of the slab into the ledger (virtual mode).
   void evict(int id);
-  // Build client `id` from the factory, re-applying any ledger state.
+  // Build client `id` from the factory, restoring any ledger record.
   void materialize(int id);
   std::size_t resident_capacity(std::size_t needed) const;
 
@@ -297,6 +300,10 @@ class Simulation {
   data::Dataset backdoor_test_;
   std::unique_ptr<comm::Network> net_;
   std::unique_ptr<Server> server_;
+  // Architecture and per-layer weight decay for every replica; replicas_[0]
+  // is the coordinating thread's, replicas_[1 + w] pool worker w's.
+  nn::ModelSpec replica_template_;
+  std::vector<std::unique_ptr<Replica>> replicas_;
   // Materialized engine: the whole population, indexed by id.
   std::vector<Client> clients_;
   // Virtual engine: factory + pooled slab of resident clients + ledger.
@@ -305,7 +312,9 @@ class Simulation {
   std::vector<std::optional<Client>> slab_;
   std::vector<std::size_t> free_slots_;
   std::map<int, std::size_t> resident_;  // client id → slab slot
-  std::map<int, ClientPersist> ledger_;
+  // Evicted clients' records; everything else a virtual client holds is a
+  // pure function of (run_seed, id).
+  std::map<int, ClientState> ledger_;
   std::vector<RoundRecord> history_;
   ExchangeStats last_round_stats_;
   double training_seconds_ = 0.0;

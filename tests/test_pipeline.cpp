@@ -25,7 +25,7 @@ fl::SimulationConfig pipeline_config(std::uint64_t seed = 21) {
 double mean_reported_accuracy(fl::Simulation& sim, const std::vector<int>& reporters) {
   const auto params = sim.server().params();
   double sum = 0.0;
-  for (int c : reporters) sum += sim.client(c).report_accuracy(params);
+  for (int c : reporters) sum += sim.client(c).report_accuracy(sim.replica(), params);
   return sum / static_cast<double>(reporters.size());
 }
 
@@ -166,7 +166,7 @@ TEST(FineTune, BroadcastsMasksAndKeepsBest) {
   // Pruned unit stayed dead through fine-tuning, on server and clients.
   EXPECT_FALSE(model.net.layer(model.last_conv_index).unit_active(1));
   for (int c : sim.all_client_ids()) {
-    EXPECT_FALSE(sim.client(c).model().net.layer(model.last_conv_index).unit_active(1));
+    EXPECT_EQ(sim.client(c).prune_masks()[static_cast<std::size_t>(model.last_conv_index)][1], 0);
   }
 }
 
@@ -202,13 +202,16 @@ TEST(AdaptiveAttack, ArmingSetsAttackerMasks) {
   // A pruning-aware attacker trains with the mask applied; its update for
   // masked channels is therefore zero.
   auto global = sim.server().params();
-  auto update = sim.client(0).compute_update(global);
-  // The masked conv channels contribute zero delta: spot-check via model.
-  const auto& model = sim.client(0).model();
+  auto& scratch = sim.replica();
+  auto update = sim.client(0).compute_update(scratch, global);
+  // The masked conv channels contribute zero delta: spot-check via the
+  // replica it trained on, and the masks it keeps in its record.
+  const auto& model = scratch.model();
   auto& layer = model.net.layer(model.last_conv_index);
   int masked = 0;
   for (int u = 0; u < layer.prunable_units(); ++u) masked += layer.unit_active(u) ? 0 : 1;
   EXPECT_GT(masked, 0);
+  EXPECT_EQ(sim.client(0).prune_masks(), sim.client(0).anticipated_masks());
   (void)update;
 }
 
@@ -220,7 +223,7 @@ TEST(AdaptiveAttack, RankManipulationPromotesBackdoorNeurons) {
   auto global = sim.server().params();
 
   auto& attacker = sim.client(0);
-  auto honest_votes = attacker.vote_report(global, 0.5);
+  auto honest_votes = attacker.vote_report(sim.replica(), global, 0.5);
 
   // Same client, adaptive mode: ballots still meet the quota.
   auto cfg2 = pipeline_config(30);
@@ -228,7 +231,7 @@ TEST(AdaptiveAttack, RankManipulationPromotesBackdoorNeurons) {
   cfg2.attack.adaptive = fl::AdaptiveMode::kRankManipulation;
   fl::Simulation sim2(cfg2);
   sim2.run(false);
-  auto votes = sim2.client(0).vote_report(sim2.server().params(), 0.5);
+  auto votes = sim2.client(0).vote_report(sim2.replica(), sim2.server().params(), 0.5);
   std::size_t cast = 0;
   for (auto v : votes) cast += v;
   EXPECT_EQ(cast, defense::expected_votes(static_cast<int>(votes.size()), 0.5));

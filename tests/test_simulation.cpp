@@ -127,8 +127,9 @@ TEST(Client, HonestUpdateIsLocalMinusGlobal) {
   Simulation sim(cfg);
   auto& client = sim.client(1);
   auto global = sim.server().params();
-  auto update = client.compute_update(global);
-  auto local = client.model().net.get_flat();
+  auto& scratch = sim.replica();
+  auto update = client.compute_update(scratch, global);
+  auto local = scratch.model().net.get_flat();
   ASSERT_EQ(update.size(), local.size());
   for (std::size_t i = 0; i < update.size(); i += 97) {
     EXPECT_NEAR(update[i], local[i] - global[i], 1e-5f);
@@ -140,8 +141,9 @@ TEST(Client, MaliciousUpdateIsAmplified) {
   auto& attacker = sim.client(0);
   const double gamma = attacker.attack()->gamma;
   auto global = sim.server().params();
-  auto update = attacker.compute_update(global);
-  auto local = attacker.model().net.get_flat();
+  auto& scratch = sim.replica();
+  auto update = attacker.compute_update(scratch, global);
+  auto local = scratch.model().net.get_flat();
   for (std::size_t i = 0; i < update.size(); i += 131) {
     EXPECT_NEAR(update[i], gamma * (local[i] - global[i]), 1e-4f);
   }
@@ -153,7 +155,7 @@ TEST(Client, RankReportIsValidPermutation) {
   const int units =
       sim.server().model().net.layer(sim.server().model().last_conv_index).prunable_units();
   for (int c : sim.all_client_ids()) {
-    auto report = sim.client(c).rank_report(global);
+    auto report = sim.client(c).rank_report(sim.replica(), global);
     ASSERT_EQ(static_cast<int>(report.size()), units);
     std::set<std::uint32_t> unique(report.begin(), report.end());
     EXPECT_EQ(unique.size(), report.size());
@@ -168,7 +170,7 @@ TEST(Client, VoteReportHonorsQuota) {
   const int units =
       sim.server().model().net.layer(sim.server().model().last_conv_index).prunable_units();
   for (double rate : {0.25, 0.5, 0.75}) {
-    auto votes = sim.client(1).vote_report(global, rate);
+    auto votes = sim.client(1).vote_report(sim.replica(), global, rate);
     ASSERT_EQ(static_cast<int>(votes.size()), units);
     std::size_t cast = 0;
     for (auto v : votes) cast += v;
@@ -180,7 +182,7 @@ TEST(Client, AccuracyReportInRange) {
   Simulation sim(testutil::tiny_sim_config());
   auto global = sim.server().params();
   for (int c : sim.all_client_ids()) {
-    const double acc = sim.client(c).report_accuracy(global);
+    const double acc = sim.client(c).report_accuracy(sim.replica(), global);
     EXPECT_GE(acc, 0.0);
     EXPECT_LE(acc, 1.0);
   }
@@ -194,9 +196,11 @@ TEST(Client, MasksPropagateThroughMessages) {
 
   const auto clients = sim.all_client_ids();
   server.broadcast_masks(clients, 0);
-  for (int c : clients) sim.client(c).handle_pending(sim.network());
+  for (int c : clients) sim.client(c).handle_pending(sim.network(), sim.replica());
   for (int c : clients) {
-    EXPECT_FALSE(sim.client(c).model().net.layer(model.last_conv_index).unit_active(2));
+    const auto& masks = sim.client(c).prune_masks();
+    ASSERT_EQ(masks.size(), static_cast<std::size_t>(model.net.size()));
+    EXPECT_EQ(masks[static_cast<std::size_t>(model.last_conv_index)][2], 0);
   }
 }
 

@@ -2,10 +2,17 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <map>
+#include <mutex>
 #include <numeric>
+#include <optional>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
+#include "common/error.h"
 #include "common/threadpool.h"
 
 using fedcleanse::common::ThreadPool;
@@ -135,4 +142,91 @@ TEST(AmbientPool, InstallAndClear) {
     set_ambient_pool(nullptr);
   }
   EXPECT_EQ(ambient_pool(), nullptr);
+}
+
+TEST(ThreadPool, WorkerIndexNamesEachWorkerOnce) {
+  ThreadPool pool(3);
+  ThreadPool other(2);
+  EXPECT_EQ(pool.worker_index(), -1);  // the caller is not a worker
+  std::mutex mu;
+  std::map<std::thread::id, std::set<int>> seen;
+  std::vector<std::future<void>> futs;
+  for (int i = 0; i < 32; ++i) {
+    futs.push_back(pool.submit([&] {
+      EXPECT_EQ(other.worker_index(), -1);
+      std::lock_guard<std::mutex> lock(mu);
+      seen[std::this_thread::get_id()].insert(pool.worker_index());
+    }));
+  }
+  for (auto& f : futs) f.get();
+  std::set<int> indices;
+  for (const auto& [thread, index] : seen) {
+    (void)thread;
+    ASSERT_EQ(index.size(), 1u);  // one fixed index per worker
+    EXPECT_GE(*index.begin(), 0);
+    EXPECT_LT(*index.begin(), 3);
+    indices.insert(*index.begin());
+  }
+  EXPECT_EQ(indices.size(), seen.size());  // distinct across workers
+}
+
+namespace {
+
+// Runs resolve_n_threads under a given FEDCLEANSE_THREADS value (nullptr =
+// unset) and restores the caller's value afterwards.
+std::size_t resolve_with_env(const char* value, std::size_t configured) {
+  const char* old = std::getenv("FEDCLEANSE_THREADS");
+  const std::optional<std::string> saved = old ? std::optional<std::string>(old) : std::nullopt;
+  if (value != nullptr) {
+    setenv("FEDCLEANSE_THREADS", value, 1);
+  } else {
+    unsetenv("FEDCLEANSE_THREADS");
+  }
+  struct Restore {
+    const std::optional<std::string>& saved;
+    ~Restore() {
+      if (saved) {
+        setenv("FEDCLEANSE_THREADS", saved->c_str(), 1);
+      } else {
+        unsetenv("FEDCLEANSE_THREADS");
+      }
+    }
+  } restore{saved};
+  return fedcleanse::common::resolve_n_threads(configured);
+}
+
+}  // namespace
+
+TEST(ResolveThreads, ParsesDigitsOnly) {
+  using fedcleanse::ConfigError;
+  EXPECT_EQ(resolve_with_env("4", 8), 4u);
+  EXPECT_EQ(resolve_with_env("0004", 8), 4u);
+  EXPECT_GE(resolve_with_env("0", 8), 1u);  // 0 → hardware concurrency
+  for (const char* bad : {"4x", "-3", "", " 4", "4 ", "+4", "1e3", "four"}) {
+    EXPECT_THROW(resolve_with_env(bad, 8), ConfigError) << "'" << bad << "'";
+  }
+  try {
+    resolve_with_env("4x", 8);
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("FEDCLEANSE_THREADS"), std::string::npos);
+  }
+}
+
+TEST(ResolveThreads, RejectsCountsAboveTheCap) {
+  using fedcleanse::ConfigError;
+  using fedcleanse::common::kMaxThreads;
+  const std::string cap = std::to_string(kMaxThreads);
+  const std::string over = std::to_string(kMaxThreads + 1);
+  EXPECT_EQ(resolve_with_env(cap.c_str(), 8), kMaxThreads);
+  EXPECT_THROW(resolve_with_env(over.c_str(), 8), ConfigError);
+  EXPECT_THROW(resolve_with_env("99999999999999999999999999", 8), ConfigError);
+  try {
+    resolve_with_env(over.c_str(), 8);
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("FEDCLEANSE_THREADS"), std::string::npos);
+  }
+  // The configured count (SimulationConfig::n_threads) has the same cap.
+  EXPECT_EQ(resolve_with_env(nullptr, kMaxThreads), kMaxThreads);
+  EXPECT_THROW(resolve_with_env(nullptr, kMaxThreads + 1), ConfigError);
+  EXPECT_LE(resolve_with_env(nullptr, 0), kMaxThreads);
 }
